@@ -19,6 +19,23 @@ std::string CacheSelectStrategyName(CacheSelectStrategy s) {
   return "?";
 }
 
+namespace {
+
+// Per-thread buffers of the score-based select strategies: the entry's
+// scores and their softmax. thread_local because selection runs inside
+// the Hogwild workers; after warm-up a select allocates nothing.
+struct SelectScratch {
+  std::vector<double> scores;
+  std::vector<double> probs;
+};
+
+SelectScratch& Scratch() {
+  static thread_local SelectScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 EntityId CacheSelector::Pick(const std::vector<EntityId>& entry,
                              const std::vector<double>& scores,
                              Rng* rng) const {
@@ -27,7 +44,8 @@ EntityId CacheSelector::Pick(const std::vector<EntityId>& entry,
     case CacheSelectStrategy::kUniform:
       return entry[rng->UniformInt(static_cast<uint64_t>(entry.size()))];
     case CacheSelectStrategy::kImportanceSampling: {
-      std::vector<double> probs(scores);
+      std::vector<double>& probs = Scratch().probs;
+      probs.assign(scores.begin(), scores.end());
       SoftmaxInPlace(&probs);
       return entry[rng->Categorical(probs)];
     }
@@ -54,7 +72,7 @@ EntityId CacheSelector::Pick(const std::vector<EntityId>& entry,
 
 EntityId CacheSelector::SelectHead(const std::vector<EntityId>& entry,
                                    RelationId r, EntityId t, Rng* rng) const {
-  std::vector<double> scores;
+  std::vector<double>& scores = Scratch().scores;
   if (strategy_ != CacheSelectStrategy::kUniform) {
     model_->ScoreHeadCandidates(r, t, entry, &scores);
   }
@@ -63,7 +81,7 @@ EntityId CacheSelector::SelectHead(const std::vector<EntityId>& entry,
 
 EntityId CacheSelector::SelectTail(const std::vector<EntityId>& entry,
                                    EntityId h, RelationId r, Rng* rng) const {
-  std::vector<double> scores;
+  std::vector<double>& scores = Scratch().scores;
   if (strategy_ != CacheSelectStrategy::kUniform) {
     model_->ScoreTailCandidates(h, r, entry, &scores);
   }

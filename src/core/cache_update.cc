@@ -1,6 +1,7 @@
 #include "core/cache_update.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <cstdint>
 
 #include "util/logging.h"
 #include "util/math.h"
@@ -19,101 +20,27 @@ std::string CacheUpdateStrategyName(CacheUpdateStrategy s) {
   return "?";
 }
 
-int CacheUpdater::BuildPool(const std::vector<EntityId>& entry, Rng* rng,
-                            const std::function<bool(EntityId)>& is_known,
-                            std::vector<EntityId>* pool) const {
-  pool->clear();
-  pool->reserve(entry.size() + n2_);
-  const uint64_t num_entities = static_cast<uint64_t>(model_->num_entities());
-  const bool filter = filter_index_ != nullptr;
-  int true_admissions = 0;
-  auto draw_fresh = [&]() {
-    EntityId e = static_cast<EntityId>(rng->UniformInt(num_entities));
-    if (filter) {
-      bool known = is_known(e);
-      for (int retry = 0; retry < 10 && known; ++retry) {
-        e = static_cast<EntityId>(rng->UniformInt(num_entities));
-        known = is_known(e);
-      }
-      // Out of retries: the candidate space for this key is dominated by
-      // true triples, and a known-true entity enters the pool anyway.
-      // Count it so the filter's failure is observable.
-      if (known) ++true_admissions;
-    }
-    return e;
-  };
-  // Stale entry members that have since been recognised as true triples
-  // are evicted in favour of fresh random candidates.
-  for (EntityId e : entry) {
-    pool->push_back(filter && is_known(e) ? draw_fresh() : e);
-  }
-  for (int i = 0; i < n2_; ++i) pool->push_back(draw_fresh());
-  return true_admissions;
-}
-
-int CacheUpdater::Update(std::vector<EntityId>* entry, Rng* rng,
-                         const std::vector<double>& scores,
-                         const std::vector<EntityId>& pool) const {
-  const int n1 = static_cast<int>(entry->size());
-  std::vector<int> picked;
-  switch (strategy_) {
-    case CacheUpdateStrategy::kImportanceSampling:
-      // Eq. (6): survivors ∝ exp(score), without replacement — realised
-      // exactly by the Gumbel-top-k trick on the raw scores.
-      picked = GumbelTopK(scores, n1, rng);
-      break;
-    case CacheUpdateStrategy::kTop:
-      picked = TopK(scores, n1);
-      break;
-    case CacheUpdateStrategy::kUniform: {
-      // Uniform without replacement: Gumbel-top-k over constant logits.
-      std::vector<double> flat(scores.size(), 0.0);
-      picked = GumbelTopK(flat, n1, rng);
-      break;
-    }
-  }
-
-  std::unordered_set<EntityId> before(entry->begin(), entry->end());
-  int changed = 0;
-  for (int i = 0; i < n1; ++i) {
-    const EntityId e = pool[picked[i]];
-    if (before.count(e) == 0) ++changed;
-    (*entry)[i] = e;
-  }
-  return changed;
-}
-
-int CacheUpdater::ApplyTopK(std::vector<EntityId>* entry,
-                            const std::vector<TopKEntry>& picked,
-                            const std::vector<EntityId>& pool) const {
-  const size_t n1 = entry->size();
-  CHECK_EQ(picked.size(), n1);
-  std::unordered_set<EntityId> before(entry->begin(), entry->end());
-  int changed = 0;
-  for (size_t i = 0; i < n1; ++i) {
-    const EntityId e = pool[picked[i].index];
-    if (before.count(e) == 0) ++changed;
-    (*entry)[i] = e;
-  }
-  return changed;
-}
-
 namespace {
 
-// Reused pool/score buffers for the per-refresh candidate broadcast.
-// thread_local because NSCaching refreshes run inside the Hogwild
-// workers (PR 2); after warm-up a refresh allocates nothing on the
-// candidate-scoring side — the scoring itself is one 1-vs-all sweep
-// (KgeModel::Score{Head,Tail}Candidates gathers the pool rows and
-// broadcasts the fixed pair through ScoringFunction::ScoreAllCandidates).
+// Reused per-thread refresh buffers. thread_local because NSCaching
+// refreshes run inside the Hogwild workers; after warm-up a refresh
+// allocates nothing. The candidate scoring itself is one 1-vs-all sweep
+// (KgeModel::Score{Head,Tail}Candidates gathers the pool rows into the
+// model's own thread-local slab and broadcasts the fixed pair through
+// ScoringFunction::ScoreAllCandidates).
 struct RefreshScratch {
   std::vector<EntityId> pool;
+  // Candidate scores (kImportanceSampling) or constant logits (kUniform).
   std::vector<double> scores;
-  // kTop's retrieval output — N1 entries instead of N1+N2 scores. The
-  // candidate-row gather reuses the same thread-local slab as the
-  // scoring path (KgeModel's GatherScratch), so switching a refresh to
-  // the top-K primitive allocates nothing new after warm-up.
+  // Survivors as pool positions, in slot order.
+  std::vector<int> picked;
+  // kTop's retrieval output — N1 entries instead of N1+N2 scores.
   std::vector<TopKEntry> topk;
+  // stamp[e] == generation iff e is in the entry being refreshed. Bumping
+  // the generation empties the set in O(1), so counting changed ids costs
+  // N1 stores and N1 loads, not a hash set per refresh.
+  std::vector<uint32_t> stamp;
+  uint32_t generation = 0;
 };
 
 RefreshScratch& Scratch() {
@@ -121,50 +48,124 @@ RefreshScratch& Scratch() {
   return scratch;
 }
 
+const std::vector<EntityId>& NoKnownCandidates() {
+  static const std::vector<EntityId> empty;
+  return empty;
+}
+
+// Overwrites the entry's slots with pool[picked[i]] and returns how many
+// of the new ids were not in the old entry (the CE measure of Figure 8).
+int ReplaceEntry(std::vector<EntityId>* entry, int32_t num_entities,
+                 RefreshScratch* s) {
+  if (s->stamp.size() < static_cast<size_t>(num_entities)) {
+    s->stamp.resize(static_cast<size_t>(num_entities), 0);
+  }
+  if (++s->generation == 0) {  // Wrapped: old stamps could alias.
+    std::fill(s->stamp.begin(), s->stamp.end(), 0);
+    s->generation = 1;
+  }
+  for (EntityId e : *entry) s->stamp[e] = s->generation;
+  int changed = 0;
+  for (size_t i = 0; i < entry->size(); ++i) {
+    const EntityId e = s->pool[s->picked[i]];
+    changed += s->stamp[e] != s->generation;
+    (*entry)[i] = e;
+  }
+  return changed;
+}
+
 }  // namespace
+
+int CacheUpdater::BuildPool(const std::vector<EntityId>& entry,
+                            const std::vector<EntityId>& known, Rng* rng,
+                            std::vector<EntityId>* pool) const {
+  pool->clear();
+  const uint64_t num_entities = static_cast<uint64_t>(model_->num_entities());
+  int true_admissions = 0;
+  auto known_true = [&](EntityId e) {
+    return std::binary_search(known.begin(), known.end(), e);
+  };
+  auto draw_fresh = [&]() {
+    EntityId e = static_cast<EntityId>(rng->UniformInt(num_entities));
+    bool is_known = known_true(e);
+    for (int retry = 0; retry < 10 && is_known; ++retry) {
+      e = static_cast<EntityId>(rng->UniformInt(num_entities));
+      is_known = known_true(e);
+    }
+    // Out of retries: the candidate space for this key is dominated by
+    // true triples, and a known-true entity enters the pool anyway.
+    // Count it so the filter's failure is observable.
+    if (is_known) ++true_admissions;
+    return e;
+  };
+  // Stale entry members that have since been recognised as true triples
+  // are evicted in favour of fresh random candidates.
+  for (EntityId e : entry) pool->push_back(known_true(e) ? draw_fresh() : e);
+  for (int i = 0; i < n2_; ++i) pool->push_back(draw_fresh());
+  return true_admissions;
+}
+
+CacheRefreshResult CacheUpdater::Refresh(std::vector<EntityId>* entry,
+                                         CorruptionSide side, EntityId fixed,
+                                         RelationId r, Rng* rng) const {
+  const bool head = side == CorruptionSide::kHead;
+  const std::vector<EntityId>& known =
+      filter_index_ == nullptr ? NoKnownCandidates()
+      : head                   ? filter_index_->HeadsOf(r, fixed)
+                               : filter_index_->TailsOf(fixed, r);
+  RefreshScratch& s = Scratch();
+  CacheRefreshResult result;
+  result.true_admissions = BuildPool(*entry, known, rng, &s.pool);
+  const int n1 = static_cast<int>(entry->size());
+  switch (strategy_) {
+    case CacheUpdateStrategy::kImportanceSampling:
+      // Eq. (6): survivors ∝ exp(score), without replacement — realised
+      // exactly by the Gumbel-top-k trick on the raw scores.
+      if (head) {
+        model_->ScoreHeadCandidates(r, fixed, s.pool, &s.scores);
+      } else {
+        model_->ScoreTailCandidates(fixed, r, s.pool, &s.scores);
+      }
+      GumbelTopK(s.scores, n1, rng, &s.picked);
+      break;
+    case CacheUpdateStrategy::kTop: {
+      TopKSweepStats stats;
+      if (head) {
+        model_->TopKHeadCandidates(r, fixed, s.pool, entry->size(), &s.topk,
+                                   &stats);
+      } else {
+        model_->TopKTailCandidates(fixed, r, s.pool, entry->size(), &s.topk,
+                                   &stats);
+      }
+      CHECK_EQ(s.topk.size(), entry->size());
+      s.picked.resize(s.topk.size());
+      for (size_t i = 0; i < s.topk.size(); ++i) {
+        s.picked[i] = static_cast<int>(s.topk[i].index);
+      }
+      result.topk_tiles = stats.tiles;
+      result.topk_pruned_tiles = stats.pruned_tiles;
+      break;
+    }
+    case CacheUpdateStrategy::kUniform:
+      // Uniform without replacement: Gumbel-top-k over constant logits.
+      s.scores.assign(s.pool.size(), 0.0);
+      GumbelTopK(s.scores, n1, rng, &s.picked);
+      break;
+  }
+  result.changed = ReplaceEntry(entry, model_->num_entities(), &s);
+  return result;
+}
 
 CacheRefreshResult CacheUpdater::UpdateHeadEntry(std::vector<EntityId>* entry,
                                                  RelationId r, EntityId t,
                                                  Rng* rng) const {
-  RefreshScratch& s = Scratch();
-  auto is_known = [&](EntityId h_bar) {
-    return filter_index_ != nullptr && filter_index_->Contains({h_bar, r, t});
-  };
-  CacheRefreshResult result;
-  result.true_admissions = BuildPool(*entry, rng, is_known, &s.pool);
-  if (strategy_ == CacheUpdateStrategy::kTop) {
-    TopKSweepStats stats;
-    model_->TopKHeadCandidates(r, t, s.pool, entry->size(), &s.topk, &stats);
-    result.changed = ApplyTopK(entry, s.topk, s.pool);
-    result.topk_tiles = stats.tiles;
-    result.topk_pruned_tiles = stats.pruned_tiles;
-    return result;
-  }
-  model_->ScoreHeadCandidates(r, t, s.pool, &s.scores);
-  result.changed = Update(entry, rng, s.scores, s.pool);
-  return result;
+  return Refresh(entry, CorruptionSide::kHead, t, r, rng);
 }
 
 CacheRefreshResult CacheUpdater::UpdateTailEntry(std::vector<EntityId>* entry,
                                                  EntityId h, RelationId r,
                                                  Rng* rng) const {
-  RefreshScratch& s = Scratch();
-  auto is_known = [&](EntityId t_bar) {
-    return filter_index_ != nullptr && filter_index_->Contains({h, r, t_bar});
-  };
-  CacheRefreshResult result;
-  result.true_admissions = BuildPool(*entry, rng, is_known, &s.pool);
-  if (strategy_ == CacheUpdateStrategy::kTop) {
-    TopKSweepStats stats;
-    model_->TopKTailCandidates(h, r, s.pool, entry->size(), &s.topk, &stats);
-    result.changed = ApplyTopK(entry, s.topk, s.pool);
-    result.topk_tiles = stats.tiles;
-    result.topk_pruned_tiles = stats.pruned_tiles;
-    return result;
-  }
-  model_->ScoreTailCandidates(h, r, s.pool, &s.scores);
-  result.changed = Update(entry, rng, s.scores, s.pool);
-  return result;
+  return Refresh(entry, CorruptionSide::kTail, h, r, rng);
 }
 
 }  // namespace nsc

@@ -12,7 +12,6 @@
 #ifndef NSCACHING_CORE_CACHE_UPDATE_H_
 #define NSCACHING_CORE_CACHE_UPDATE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,6 +58,12 @@ struct CacheRefreshResult {
 /// TripletCache::LockedEntry — see nscaching_sampler.h). Model reads race
 /// benignly with Hogwild writers; that is the tsan.supp territory, not a
 /// lock-protocol concern.
+///
+/// A refresh costs its candidate scoring, its RNG draws and little else.
+/// Every buffer it uses (pool, scores, Gumbel keys, survivors, and an
+/// |E|-sized generation-stamped array that counts changed ids) is
+/// thread-local scratch reused across calls: concurrent Hogwild workers
+/// never share one, and a warm refresh allocates nothing.
 class CacheUpdater {
  public:
   /// `model` is borrowed and must outlive the updater. `n2` is the number
@@ -69,13 +74,16 @@ class CacheUpdater {
   /// negatives rare, §III-B1), but at this repo's scaled-down |E| the
   /// false-negative rate in the cache is ~100x the paper's, so filtering
   /// is what *preserves* the paper's operating regime (see DESIGN.md §3).
+  /// The filter fetches the key's sorted KgIndex::HeadsOf/TailsOf list
+  /// once per refresh and binary-searches it per candidate.
   ///
   /// Strategy kTop refreshes select their N1 survivors through the fused
   /// sweep→top-K primitive (KgeModel::TopK{Head,Tail}Candidates) instead
   /// of scoring the pool into a buffer and scanning it — same survivors
   /// (util TopK's (score desc, index asc) tie order is the retrieval
   /// contract), no N1+N2 score buffer, and the tile-pruning counters are
-  /// surfaced per refresh.
+  /// surfaced per refresh. kUniform scores nothing: its survivors do not
+  /// depend on the scores.
   CacheUpdater(const KgeModel* model, CacheUpdateStrategy strategy, int n2,
                const KgIndex* filter_index = nullptr)
       : model_(model),
@@ -96,20 +104,17 @@ class CacheUpdater {
   int n2() const { return n2_; }
 
  private:
-  int Update(std::vector<EntityId>* entry, Rng* rng,
-             const std::vector<double>& scores,
-             const std::vector<EntityId>& pool) const;
-  // kTop's counterpart of Update: `picked` is the top-N1 retrieval over
-  // the pool (entries' index fields are pool positions). Same changed-id
-  // accounting.
-  int ApplyTopK(std::vector<EntityId>* entry,
-                const std::vector<TopKEntry>& picked,
-                const std::vector<EntityId>& pool) const;
-  // Builds pool = entry ∪ N2 random entities and scores it. `is_known`
-  // tests whether a candidate would form a known-true triple. Returns the
-  // number of known-true candidates admitted after retry exhaustion.
-  int BuildPool(const std::vector<EntityId>& entry, Rng* rng,
-                const std::function<bool(EntityId)>& is_known,
+  // One refresh of the `side` cache entry keyed by (fixed, r): `fixed` is
+  // the tail of a head-cache key and the head of a tail-cache key.
+  CacheRefreshResult Refresh(std::vector<EntityId>* entry, CorruptionSide side,
+                             EntityId fixed, RelationId r, Rng* rng) const;
+  // Builds pool = entry ∪ N2 random entities. `known` is the key's
+  // strictly increasing list of known-true candidates (empty when
+  // filtering is off, which then draws each fresh candidate once).
+  // Returns the number of known-true candidates admitted after retry
+  // exhaustion.
+  int BuildPool(const std::vector<EntityId>& entry,
+                const std::vector<EntityId>& known, Rng* rng,
                 std::vector<EntityId>* pool) const;
 
   const KgeModel* model_;

@@ -1,5 +1,7 @@
 #include "kg/kg_index.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace nsc {
@@ -31,6 +33,12 @@ KgIndex::KgIndex(const std::vector<const TripleStore*>& stores) {
       ++entity_degrees_[x.t];
     }
   }
+
+  // Sorted once here, so a per-key membership test is a binary search
+  // over one list (the cache refresh's false-negative filter) and the
+  // evaluator can merge a list against an ascending entity sweep.
+  for (auto& kv : tails_by_hr_) std::sort(kv.second.begin(), kv.second.end());
+  for (auto& kv : heads_by_rt_) std::sort(kv.second.begin(), kv.second.end());
 
   tph_.assign(num_relations_, 0.0);
   hpt_.assign(num_relations_, 0.0);

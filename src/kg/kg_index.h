@@ -2,9 +2,11 @@
 //   - membership test Contains(h, r, t) — false-negative filtering and the
 //     legacy per-candidate evaluator need it;
 //   - adjacency lists (h, r) -> tails and (r, t) -> heads — deduplicated
-//     at build time; the batched 1-vs-all evaluator masks exactly these
-//     per-query lists to realise the "filtered" setting in O(|list|)
-//     corrections instead of O(|E|) hash probes;
+//     and sorted ascending at build time; the batched 1-vs-all evaluator
+//     masks exactly these per-query lists to realise the "filtered"
+//     setting in O(|list|) corrections instead of O(|E|) hash probes, and
+//     the NSCaching refresh filters its candidates against the key's one
+//     list (std::binary_search) instead of probing the hash set;
 //   - per-relation cardinality statistics tph ("tails per head") and hpt
 //     ("heads per tail") — the Bernoulli sampling scheme of TransH [42]
 //     corrupts the head with probability tph / (tph + hpt).
@@ -37,10 +39,12 @@ class KgIndex {
     return membership_.count(PackTriple(x)) > 0;
   }
 
-  /// Tails t with (h, r, t) present; empty vector when none.
+  /// Tails t with (h, r, t) present, strictly increasing; empty vector
+  /// when none.
   const std::vector<EntityId>& TailsOf(EntityId h, RelationId r) const;
 
-  /// Heads h with (h, r, t) present; empty vector when none.
+  /// Heads h with (h, r, t) present, strictly increasing; empty vector
+  /// when none.
   const std::vector<EntityId>& HeadsOf(RelationId r, EntityId t) const;
 
   /// Average number of distinct tails per (head, relation) pair of `r`.

@@ -54,7 +54,8 @@ std::vector<int> SampleNeighbors(const std::vector<std::vector<float>>& z_entity
     logits[i] = -beta * SquaredDistance(z_entity[candidates[i]], z_anchor);
   }
   const int kk = std::min(k, take);
-  std::vector<int> picked = GumbelTopK(logits, kk, rng);
+  std::vector<int> picked;
+  GumbelTopK(logits, kk, rng, &picked);
   std::vector<int> out;
   out.reserve(kk);
   for (int idx : picked) out.push_back(candidates[idx]);

@@ -304,10 +304,13 @@ void ServeServer::ReapIdleConnections(int64_t now_us) {
              conn->next_out_seq == conn->next_seq;
     }
     if (idle) {
+      // Count before close(): the peer sees EOF as soon as the fd closes
+      // and may read stats() at once, so the counters must already show
+      // this close.
+      counters_.closed.fetch_add(1, std::memory_order_relaxed);
+      counters_.idle_closed.fetch_add(1, std::memory_order_relaxed);
       ::close(conn->fd);
       it = connections_.erase(it);
-      counters_.idle_closed.fetch_add(1, std::memory_order_relaxed);
-      counters_.closed.fetch_add(1, std::memory_order_relaxed);
     } else {
       ++it;
     }
@@ -373,9 +376,9 @@ void ServeServer::LoopThread() {
       // connection closes.
       if (alive) alive = FlushConnection(conn);
       if (!alive) {
+        counters_.closed.fetch_add(1, std::memory_order_relaxed);
         ::close(conn->fd);
         connections_.erase(conn->fd);
-        counters_.closed.fetch_add(1, std::memory_order_relaxed);
       }
     }
     ReapIdleConnections(SteadyNowUs());

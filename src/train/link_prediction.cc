@@ -91,15 +91,15 @@ constexpr int32_t kEvalTile = 256;
 /// Each tile's correction-adjusted contribution is non-negative (a known
 /// candidate's subtraction cancels its own dense count from the same
 /// tile), so the running count is an exact lower bound of the final one
-/// and the exit is never premature. Returns true when the full entity
-/// range was counted (`out` then holds exact counts, equal to
-/// CountOneSideBatched's); false on early exit (the rank is provably
-/// > hits_k, `out` is partial junk).
+/// and the exit is never premature. `known` is KgIndex's strictly
+/// increasing list, so the corrections merge against the ascending tile
+/// sweep directly. Returns true when the full entity range was counted
+/// (`out` then holds exact counts, equal to CountOneSideBatched's); false
+/// on early exit (the rank is provably > hits_k, `out` is partial junk).
 bool CountOneSideHitsOnly(const KgeModel& model, const Triple& x,
                           CorruptionSide side, bool filtered,
                           const std::vector<EntityId>& known, int hits_k,
-                          double* tile, std::vector<EntityId>* sorted_known,
-                          SideCounts* out) {
+                          double* tile, SideCounts* out) {
   const int32_t num_entities = model.num_entities();
   const EntityId true_entity = side == CorruptionSide::kHead ? x.h : x.t;
   // True score from a count-1 slice of the sweep: per-candidate scores
@@ -113,13 +113,7 @@ bool CountOneSideHitsOnly(const KgeModel& model, const Triple& x,
     model.ScoreTailRange(x.h, x.r, static_cast<size_t>(true_entity), 1,
                          &true_score);
   }
-  sorted_known->clear();
-  if (filtered) {
-    for (EntityId f : known) {
-      if (f != true_entity) sorted_known->push_back(f);
-    }
-    std::sort(sorted_known->begin(), sorted_known->end());
-  }
+  const size_t num_known = filtered ? known.size() : 0;
   SideCounts counts;
   size_t next_known = 0;
   for (int32_t lo = 0; lo < num_entities; lo += kEvalTile) {
@@ -138,9 +132,9 @@ bool CountOneSideHitsOnly(const KgeModel& model, const Triple& x,
     if (true_entity >= lo && true_entity < lo + n) {
       --counts.ties;  // The true entity always ties with itself.
     }
-    while (next_known < sorted_known->size() &&
-           (*sorted_known)[next_known] < lo + n) {
-      const EntityId f = (*sorted_known)[next_known++];
+    while (next_known < num_known && known[next_known] < lo + n) {
+      const EntityId f = known[next_known++];
+      if (f == true_entity) continue;
       counts.greater -= tile[f - lo] > true_score;
       counts.ties -= tile[f - lo] == true_score;
     }
@@ -194,7 +188,6 @@ RankingMetrics EvaluateLinkPrediction(const KgeModel& model,
         // Hits@K-only: one 256-double tile is the worker's entire score
         // storage; no |E| buffer exists on this path.
         double tile[kEvalTile];
-        std::vector<EntityId> sorted_known;
         const double junk_rank = static_cast<double>(options.hits_k) + 1.0;
         for (size_t i = lo; i < hi; ++i) {
           const Triple& x = eval_set[i];
@@ -206,7 +199,7 @@ RankingMetrics EvaluateLinkPrediction(const KgeModel& model,
                                               : filter_index.TailsOf(x.h, x.r);
             const bool exact = CountOneSideHitsOnly(
                 model, x, side, options.filtered, known, options.hits_k, tile,
-                &sorted_known, &counts);
+                &counts);
             local.AddRank(exact ? RankFromCounts(counts, options.tie_break)
                                 : junk_rank);
           }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -66,17 +67,28 @@ void Scale(float alpha, float* a, int n) {
   for (int i = 0; i < n; ++i) a[i] *= alpha;
 }
 
-std::vector<int> GumbelTopK(const std::vector<double>& logits, int k, Rng* rng) {
+void GumbelTopK(const std::vector<double>& logits, int k, Rng* rng,
+                std::vector<int>* out) {
+  CHECK_GE(k, 0);
   CHECK_LE(static_cast<size_t>(k), logits.size());
-  std::vector<std::pair<double, int>> keyed(logits.size());
+  static thread_local std::vector<std::pair<double, int>> keyed;
+  keyed.resize(logits.size());
   for (size_t i = 0; i < logits.size(); ++i) {
     keyed[i] = {logits[i] + rng->Gumbel(), static_cast<int>(i)};
   }
-  std::partial_sort(keyed.begin(), keyed.begin() + k, keyed.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<int> out(k);
-  for (int i = 0; i < k; ++i) out[i] = keyed[i].second;
-  return out;
+  // Select the k largest keys, then order only those. The keys are
+  // distinct with probability 1, and then this is exactly the prefix a
+  // full sort would give.
+  const auto larger = [](const std::pair<double, int>& a,
+                         const std::pair<double, int>& b) {
+    return a.first > b.first;
+  };
+  if (static_cast<size_t>(k) < keyed.size()) {
+    std::nth_element(keyed.begin(), keyed.begin() + k, keyed.end(), larger);
+  }
+  std::sort(keyed.begin(), keyed.begin() + k, larger);
+  out->resize(k);
+  for (int i = 0; i < k; ++i) (*out)[i] = keyed[i].second;
 }
 
 std::vector<int> TopK(const std::vector<double>& values, int k) {

@@ -42,8 +42,13 @@ void Scale(float alpha, float* a, int n);
 /// Samples k distinct indices from {0..logits.size()-1} with probability
 /// proportional to exp(logits[i]), *without replacement*, via the
 /// Gumbel-top-k trick: argtop-k of logits[i] + Gumbel noise. Requires
-/// k <= logits.size(). The returned indices are in no particular order.
-std::vector<int> GumbelTopK(const std::vector<double>& logits, int k, Rng* rng);
+/// k <= logits.size(). Draws one Gumbel per logit, in index order, and
+/// writes the indices to `out` (resized to k) ordered by perturbed key,
+/// largest first. The perturbed keys live in thread-local scratch, so
+/// with a reused `out` a call allocates nothing after warm-up — this is
+/// the NSCaching refresh's survivor selection.
+void GumbelTopK(const std::vector<double>& logits, int k, Rng* rng,
+                std::vector<int>* out);
 
 /// Deterministic top-k: indices of the k largest values (ties broken by
 /// lower index). Requires k <= values.size().

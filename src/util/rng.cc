@@ -45,11 +45,14 @@ double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
 uint64_t Rng::UniformInt(uint64_t n) {
   CHECK_GT(n, 0ULL);
-  // Lemire-style rejection to avoid modulo bias.
-  const uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  // Rejection to avoid modulo bias: a draw r is accepted iff
+  // r >= (2^64 - n) mod n. That threshold is below n, so every r >= n is
+  // accepted without computing it; the division is paid only for a draw
+  // r < n, which is rare unless n is near 2^64. Same accepted values, same
+  // number of draws.
   for (;;) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % n;
+    const uint64_t r = Next();
+    if (r >= n || r >= (~n + 1) % n) return r % n;
   }
 }
 

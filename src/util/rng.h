@@ -31,7 +31,7 @@ class Rng {
   double Uniform(double lo, double hi);
 
   /// Uniform integer in [0, n). Requires n > 0. Uses rejection to avoid
-  /// modulo bias.
+  /// modulo bias; one division per accepted draw.
   uint64_t UniformInt(uint64_t n);
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.

@@ -130,7 +130,10 @@ TEST(CacheStressTest, ConcurrentNSCachingSamplerOnSharedKeys) {
   // streams on positives that deliberately collide on (r, t) and (h, r)
   // keys. The model is fixed, so every shared access in here must be
   // properly synchronized (shard locks + atomic stats) — this is the
-  // no-suppressions TSan target.
+  // no-suppressions TSan target. Every update and select strategy runs:
+  // each keeps its buffers (pool, scores, Gumbel keys, survivors, the
+  // changed-id stamp array, select scores and softmax) in thread-local
+  // scratch, and a buffer shared between workers would race here.
   constexpr int32_t kEntities = 50;
   constexpr int kThreads = 6;
   constexpr int kSamplesPerThread = 400;
@@ -146,61 +149,76 @@ TEST(CacheStressTest, ConcurrentNSCachingSamplerOnSharedKeys) {
   Rng init_rng(5);
   model.InitXavier(&init_rng);
 
-  NSCachingConfig config;
-  config.n1 = 6;
-  config.n2 = 6;
-  config.cache_shards = 8;
-  NSCachingSampler sampler(&model, &index, config);
-  ASSERT_TRUE(sampler.thread_safe_sampling());
-  sampler.BeginEpoch(0);
-  ASSERT_TRUE(sampler.updates_enabled());
+  for (CacheUpdateStrategy update :
+       {CacheUpdateStrategy::kImportanceSampling, CacheUpdateStrategy::kTop,
+        CacheUpdateStrategy::kUniform}) {
+    for (CacheSelectStrategy select :
+         {CacheSelectStrategy::kUniform,
+          CacheSelectStrategy::kImportanceSampling,
+          CacheSelectStrategy::kTop}) {
+      SCOPED_TRACE("update " + CacheUpdateStrategyName(update) + ", select " +
+                   CacheSelectStrategyName(select));
+      NSCachingConfig config;
+      config.n1 = 6;
+      config.n2 = 6;
+      config.cache_shards = 8;
+      config.update_strategy = update;
+      config.select_strategy = select;
+      NSCachingSampler sampler(&model, &index, config);
+      ASSERT_TRUE(sampler.thread_safe_sampling());
+      sampler.BeginEpoch(0);
+      ASSERT_TRUE(sampler.updates_enabled());
 
-  Rng seeder(99);
-  std::vector<Rng> rngs;
-  for (int t = 0; t < kThreads; ++t) rngs.push_back(seeder.Split());
+      Rng seeder(99);
+      std::vector<Rng> rngs;
+      for (int t = 0; t < kThreads; ++t) rngs.push_back(seeder.Split());
 
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      Rng& rng = rngs[t];
-      for (int i = 0; i < kSamplesPerThread; ++i) {
-        const Triple& pos = store[rng.UniformInt(store.size())];
-        const NegativeSample neg = sampler.Sample(pos, &rng);
-        ASSERT_EQ(neg.triple.r, pos.r);
-        if (neg.side == CorruptionSide::kHead) {
-          ASSERT_EQ(neg.triple.t, pos.t);
-          ASSERT_GE(neg.triple.h, 0);
-          ASSERT_LT(neg.triple.h, kEntities);
-        } else {
-          ASSERT_EQ(neg.triple.h, pos.h);
-          ASSERT_GE(neg.triple.t, 0);
-          ASSERT_LT(neg.triple.t, kEntities);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+          Rng& rng = rngs[t];
+          for (int i = 0; i < kSamplesPerThread; ++i) {
+            const Triple& pos = store[rng.UniformInt(store.size())];
+            const NegativeSample neg = sampler.Sample(pos, &rng);
+            ASSERT_EQ(neg.triple.r, pos.r);
+            if (neg.side == CorruptionSide::kHead) {
+              ASSERT_EQ(neg.triple.t, pos.t);
+              ASSERT_GE(neg.triple.h, 0);
+              ASSERT_LT(neg.triple.h, kEntities);
+            } else {
+              ASSERT_EQ(neg.triple.h, pos.h);
+              ASSERT_GE(neg.triple.t, 0);
+              ASSERT_LT(neg.triple.t, kEntities);
+            }
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
+
+      // Atomic accounting: nothing lost under contention. Both a head and
+      // a tail candidate are drawn per Sample (selections += 2) and both
+      // entries are refreshed (updates += 2).
+      const int64_t total = int64_t{kThreads} * kSamplesPerThread;
+      const CacheStats stats = sampler.stats();
+      EXPECT_EQ(stats.selections, 2 * total);
+      EXPECT_EQ(stats.updates, 2 * total);
+      EXPECT_GE(stats.changed_elements, 0);
+
+      // Entries stay well-formed: exactly N1 in-universe ids per key.
+      for (const Triple& pos : store) {
+        const auto* head = sampler.head_cache().Find(PackRt(pos.r, pos.t));
+        const auto* tail = sampler.tail_cache().Find(PackHr(pos.h, pos.r));
+        ASSERT_NE(head, nullptr);
+        ASSERT_NE(tail, nullptr);
+        EXPECT_EQ(head->size(), static_cast<size_t>(config.n1));
+        EXPECT_EQ(tail->size(), static_cast<size_t>(config.n1));
+        for (const auto* entry : {head, tail}) {
+          for (EntityId e : *entry) {
+            EXPECT_GE(e, 0);
+            EXPECT_LT(e, kEntities);
+          }
         }
       }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Atomic accounting: nothing lost under contention. Both a head and a
-  // tail candidate are drawn per Sample (selections += 2) and both
-  // entries are refreshed (updates += 2).
-  const int64_t total = int64_t{kThreads} * kSamplesPerThread;
-  const CacheStats stats = sampler.stats();
-  EXPECT_EQ(stats.selections, 2 * total);
-  EXPECT_EQ(stats.updates, 2 * total);
-  EXPECT_GE(stats.changed_elements, 0);
-
-  // Entries stay well-formed: exactly N1 in-universe ids per key.
-  for (const Triple& pos : store) {
-    const auto* head = sampler.head_cache().Find(PackRt(pos.r, pos.t));
-    const auto* tail = sampler.tail_cache().Find(PackHr(pos.h, pos.r));
-    ASSERT_NE(head, nullptr);
-    ASSERT_NE(tail, nullptr);
-    EXPECT_EQ(head->size(), static_cast<size_t>(config.n1));
-    EXPECT_EQ(tail->size(), static_cast<size_t>(config.n1));
-    for (EntityId e : *head) {
-      EXPECT_GE(e, 0);
-      EXPECT_LT(e, kEntities);
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
+
 namespace nsc {
 namespace {
 
@@ -95,6 +97,42 @@ TEST(KgIndexTest, DuplicateTriplesWithinStoreCountedOnce) {
   const KgIndex index(store);
   EXPECT_EQ(index.num_triples(), 1u);
   EXPECT_EQ(index.TailsOf(0, 0).size(), 1u);
+}
+
+TEST(KgIndexTest, AdjacencyListsStrictlyIncreasing) {
+  // Out-of-order inserts, duplicates within and across stores: every
+  // HeadsOf/TailsOf list must still come out sorted and duplicate-free,
+  // and a binary search over it must agree with Contains.
+  TripleStore a(40, 2), b(40, 2);
+  Rng rng(3);
+  for (int i = 0; i < 400; ++i) {
+    const EntityId h = static_cast<EntityId>(rng.UniformInt(40));
+    const EntityId t = static_cast<EntityId>(rng.UniformInt(40));
+    const RelationId r = static_cast<RelationId>(rng.UniformInt(2));
+    (i % 3 == 0 ? b : a).Add({h, r, t});
+  }
+  for (EntityId h = 39; h >= 0; --h) a.Add({h, 1, 0});  // Descending, long.
+  const KgIndex index(std::vector<const TripleStore*>{&a, &b});
+  for (const TripleStore* store : {&a, &b}) {
+    for (const Triple& x : *store) {
+      for (const std::vector<EntityId>* list :
+           {&index.HeadsOf(x.r, x.t), &index.TailsOf(x.h, x.r)}) {
+        ASSERT_FALSE(list->empty());
+        for (size_t i = 1; i < list->size(); ++i) {
+          ASSERT_LT((*list)[i - 1], (*list)[i]);
+        }
+      }
+      for (EntityId e = 0; e < 40; ++e) {
+        const std::vector<EntityId>& heads = index.HeadsOf(x.r, x.t);
+        const std::vector<EntityId>& tails = index.TailsOf(x.h, x.r);
+        ASSERT_EQ(std::binary_search(heads.begin(), heads.end(), e),
+                  index.Contains({e, x.r, x.t}));
+        ASSERT_EQ(std::binary_search(tails.begin(), tails.end(), e),
+                  index.Contains({x.h, x.r, e}));
+      }
+    }
+  }
+  EXPECT_EQ(index.HeadsOf(1, 0).size(), 40u);
 }
 
 }  // namespace

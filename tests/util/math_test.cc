@@ -78,7 +78,8 @@ TEST(GumbelTopKTest, ReturnsDistinctIndices) {
   Rng rng(3);
   std::vector<double> logits(20, 0.0);
   for (int trial = 0; trial < 50; ++trial) {
-    auto picked = GumbelTopK(logits, 5, &rng);
+    std::vector<int> picked;
+    GumbelTopK(logits, 5, &rng, &picked);
     std::set<int> unique(picked.begin(), picked.end());
     EXPECT_EQ(unique.size(), 5u);
     for (int i : picked) {
@@ -91,7 +92,8 @@ TEST(GumbelTopKTest, ReturnsDistinctIndices) {
 TEST(GumbelTopKTest, KEqualsNReturnsAll) {
   Rng rng(4);
   std::vector<double> logits = {0.1, 5.0, -2.0};
-  auto picked = GumbelTopK(logits, 3, &rng);
+  std::vector<int> picked;
+  GumbelTopK(logits, 3, &rng, &picked);
   std::set<int> unique(picked.begin(), picked.end());
   EXPECT_EQ(unique, (std::set<int>{0, 1, 2}));
 }
@@ -104,7 +106,11 @@ TEST(GumbelTopKTest, Top1MatchesSoftmaxFrequencies) {
   SoftmaxInPlace(&probs);
   std::map<int, int> counts;
   const int n = 60000;
-  for (int i = 0; i < n; ++i) ++counts[GumbelTopK(logits, 1, &rng)[0]];
+  std::vector<int> picked;
+  for (int i = 0; i < n; ++i) {
+    GumbelTopK(logits, 1, &rng, &picked);
+    ++counts[picked[0]];
+  }
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(counts[i] / double(n), probs[i], 0.01) << "index " << i;
   }
@@ -118,8 +124,10 @@ TEST(GumbelTopKTest, HighLogitsDominateButDoNotMonopolize) {
   std::vector<double> logits = {5.0, 5.0, 5.0, 0.0, 0.0, 0.0};
   int high_picked = 0, low_picked = 0;
   const int trials = 2000;
+  std::vector<int> picked;
   for (int i = 0; i < trials; ++i) {
-    for (int idx : GumbelTopK(logits, 3, &rng)) {
+    GumbelTopK(logits, 3, &rng, &picked);
+    for (int idx : picked) {
       (idx < 3 ? high_picked : low_picked)++;
     }
   }

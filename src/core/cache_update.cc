@@ -1,10 +1,10 @@
 #include "core/cache_update.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "util/logging.h"
 #include "util/math.h"
+#include "util/stamp_set.h"
 
 namespace nsc {
 
@@ -36,11 +36,11 @@ struct RefreshScratch {
   std::vector<int> picked;
   // kTop's retrieval output — N1 entries instead of N1+N2 scores.
   std::vector<TopKEntry> topk;
-  // stamp[e] == generation iff e is in the entry being refreshed. Bumping
-  // the generation empties the set in O(1), so counting changed ids costs
-  // N1 stores and N1 loads, not a hash set per refresh.
-  std::vector<uint32_t> stamp;
-  uint32_t generation = 0;
+  // One set over the entity ids, emptied in O(1) and used twice per
+  // refresh: first it holds the key's known-true candidates, so the
+  // false-negative filter is one load per probe; then it holds the old
+  // entry, so counting changed ids costs N1 stores and N1 loads.
+  StampSet ids;
 };
 
 RefreshScratch& Scratch() {
@@ -48,27 +48,15 @@ RefreshScratch& Scratch() {
   return scratch;
 }
 
-const std::vector<EntityId>& NoKnownCandidates() {
-  static const std::vector<EntityId> empty;
-  return empty;
-}
-
 // Overwrites the entry's slots with pool[picked[i]] and returns how many
 // of the new ids were not in the old entry (the CE measure of Figure 8).
-int ReplaceEntry(std::vector<EntityId>* entry, int32_t num_entities,
-                 RefreshScratch* s) {
-  if (s->stamp.size() < static_cast<size_t>(num_entities)) {
-    s->stamp.resize(static_cast<size_t>(num_entities), 0);
-  }
-  if (++s->generation == 0) {  // Wrapped: old stamps could alias.
-    std::fill(s->stamp.begin(), s->stamp.end(), 0);
-    s->generation = 1;
-  }
-  for (EntityId e : *entry) s->stamp[e] = s->generation;
+int ReplaceEntry(std::vector<EntityId>* entry, RefreshScratch* s) {
+  s->ids.Clear();
+  for (EntityId e : *entry) s->ids.Mark(e);
   int changed = 0;
   for (size_t i = 0; i < entry->size(); ++i) {
     const EntityId e = s->pool[s->picked[i]];
-    changed += s->stamp[e] != s->generation;
+    changed += !s->ids.Contains(e);
     (*entry)[i] = e;
   }
   return changed;
@@ -76,21 +64,30 @@ int ReplaceEntry(std::vector<EntityId>* entry, int32_t num_entities,
 
 }  // namespace
 
+CacheUpdater::CacheUpdater(const KgeModel* model, CacheUpdateStrategy strategy,
+                           int n2, const KgIndex* filter_index)
+    : model_(model),
+      strategy_(strategy),
+      n2_(n2),
+      filter_index_(filter_index) {
+  // Known-true ids are stamped into an array sized by the model.
+  if (filter_index_ != nullptr) {
+    CHECK_LE(filter_index_->num_entities(), model_->num_entities());
+  }
+}
+
 int CacheUpdater::BuildPool(const std::vector<EntityId>& entry,
-                            const std::vector<EntityId>& known, Rng* rng,
+                            const StampSet& known, Rng* rng,
                             std::vector<EntityId>* pool) const {
   pool->clear();
   const uint64_t num_entities = static_cast<uint64_t>(model_->num_entities());
   int true_admissions = 0;
-  auto known_true = [&](EntityId e) {
-    return std::binary_search(known.begin(), known.end(), e);
-  };
   auto draw_fresh = [&]() {
     EntityId e = static_cast<EntityId>(rng->UniformInt(num_entities));
-    bool is_known = known_true(e);
+    bool is_known = known.Contains(e);
     for (int retry = 0; retry < 10 && is_known; ++retry) {
       e = static_cast<EntityId>(rng->UniformInt(num_entities));
-      is_known = known_true(e);
+      is_known = known.Contains(e);
     }
     // Out of retries: the candidate space for this key is dominated by
     // true triples, and a known-true entity enters the pool anyway.
@@ -100,7 +97,9 @@ int CacheUpdater::BuildPool(const std::vector<EntityId>& entry,
   };
   // Stale entry members that have since been recognised as true triples
   // are evicted in favour of fresh random candidates.
-  for (EntityId e : entry) pool->push_back(known_true(e) ? draw_fresh() : e);
+  for (EntityId e : entry) {
+    pool->push_back(known.Contains(e) ? draw_fresh() : e);
+  }
   for (int i = 0; i < n2_; ++i) pool->push_back(draw_fresh());
   return true_admissions;
 }
@@ -109,13 +108,19 @@ CacheRefreshResult CacheUpdater::Refresh(std::vector<EntityId>* entry,
                                          CorruptionSide side, EntityId fixed,
                                          RelationId r, Rng* rng) const {
   const bool head = side == CorruptionSide::kHead;
-  const std::vector<EntityId>& known =
-      filter_index_ == nullptr ? NoKnownCandidates()
-      : head                   ? filter_index_->HeadsOf(r, fixed)
-                               : filter_index_->TailsOf(fixed, r);
   RefreshScratch& s = Scratch();
+  s.ids.Reserve(static_cast<size_t>(model_->num_entities()));
+  // Stamped once per refresh; with filtering off the set stays empty and
+  // each fresh candidate is drawn once.
+  s.ids.Clear();
+  if (filter_index_ != nullptr) {
+    for (EntityId e : head ? filter_index_->HeadsOf(r, fixed)
+                           : filter_index_->TailsOf(fixed, r)) {
+      s.ids.Mark(e);
+    }
+  }
   CacheRefreshResult result;
-  result.true_admissions = BuildPool(*entry, known, rng, &s.pool);
+  result.true_admissions = BuildPool(*entry, s.ids, rng, &s.pool);
   const int n1 = static_cast<int>(entry->size());
   switch (strategy_) {
     case CacheUpdateStrategy::kImportanceSampling:
@@ -152,7 +157,7 @@ CacheRefreshResult CacheUpdater::Refresh(std::vector<EntityId>* entry,
       GumbelTopK(s.scores, n1, rng, &s.picked);
       break;
   }
-  result.changed = ReplaceEntry(entry, model_->num_entities(), &s);
+  result.changed = ReplaceEntry(entry, &s);
   return result;
 }
 

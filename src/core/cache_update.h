@@ -23,6 +23,8 @@
 
 namespace nsc {
 
+class StampSet;
+
 /// How survivors are drawn from the N1+N2 candidate pool.
 enum class CacheUpdateStrategy {
   kImportanceSampling,  // Paper's Algorithm 3 (Eq. 6).
@@ -61,9 +63,11 @@ struct CacheRefreshResult {
 ///
 /// A refresh costs its candidate scoring, its RNG draws and little else.
 /// Every buffer it uses (pool, scores, Gumbel keys, survivors, and an
-/// |E|-sized generation-stamped array that counts changed ids) is
-/// thread-local scratch reused across calls: concurrent Hogwild workers
-/// never share one, and a warm refresh allocates nothing.
+/// |E|-sized generation-stamped array) is thread-local scratch reused
+/// across calls: concurrent Hogwild workers never share one, and a warm
+/// refresh allocates nothing. The stamp array holds the key's known-true
+/// set, stamped once per refresh so each filter probe is O(1), and then
+/// the old entry, against which changed ids are counted.
 class CacheUpdater {
  public:
   /// `model` is borrowed and must outlive the updater. `n2` is the number
@@ -74,8 +78,9 @@ class CacheUpdater {
   /// negatives rare, §III-B1), but at this repo's scaled-down |E| the
   /// false-negative rate in the cache is ~100x the paper's, so filtering
   /// is what *preserves* the paper's operating regime (see DESIGN.md §3).
-  /// The filter fetches the key's sorted KgIndex::HeadsOf/TailsOf list
-  /// once per refresh and binary-searches it per candidate.
+  /// The filter stamps the key's KgIndex::HeadsOf/TailsOf list into the
+  /// thread's stamp array once per refresh and probes it in O(1) per
+  /// candidate, so the index must not know more entities than the model.
   ///
   /// Strategy kTop refreshes select their N1 survivors through the fused
   /// sweep→top-K primitive (KgeModel::TopK{Head,Tail}Candidates) instead
@@ -85,11 +90,7 @@ class CacheUpdater {
   /// surfaced per refresh. kUniform scores nothing: its survivors do not
   /// depend on the scores.
   CacheUpdater(const KgeModel* model, CacheUpdateStrategy strategy, int n2,
-               const KgIndex* filter_index = nullptr)
-      : model_(model),
-        strategy_(strategy),
-        n2_(n2),
-        filter_index_(filter_index) {}
+               const KgIndex* filter_index = nullptr);
 
   /// Refreshes a head-cache entry for key (r, t): entry holds candidate
   /// heads h̄ scored by f(h̄, r, t).
@@ -108,13 +109,13 @@ class CacheUpdater {
   // the tail of a head-cache key and the head of a tail-cache key.
   CacheRefreshResult Refresh(std::vector<EntityId>* entry, CorruptionSide side,
                              EntityId fixed, RelationId r, Rng* rng) const;
-  // Builds pool = entry ∪ N2 random entities. `known` is the key's
-  // strictly increasing list of known-true candidates (empty when
-  // filtering is off, which then draws each fresh candidate once).
+  // Builds pool = entry ∪ N2 random entities. `known` holds the key's
+  // known-true candidates (empty when filtering is off, which then draws
+  // each fresh candidate once).
   // Returns the number of known-true candidates admitted after retry
   // exhaustion.
   int BuildPool(const std::vector<EntityId>& entry,
-                const std::vector<EntityId>& known, Rng* rng,
+                const StampSet& known, Rng* rng,
                 std::vector<EntityId>* pool) const;
 
   const KgeModel* model_;

@@ -34,9 +34,9 @@ KgIndex::KgIndex(const std::vector<const TripleStore*>& stores) {
     }
   }
 
-  // Sorted once here, so a per-key membership test is a binary search
-  // over one list (the cache refresh's false-negative filter) and the
-  // evaluator can merge a list against an ascending entity sweep.
+  // Sorted once here: the filtered evaluator (train/link_prediction.cc)
+  // merges a key's list against its ascending entity sweep, and every
+  // list is strictly increasing by contract (kg_index_test pins it).
   for (auto& kv : tails_by_hr_) std::sort(kv.second.begin(), kv.second.end());
   for (auto& kv : heads_by_rt_) std::sort(kv.second.begin(), kv.second.end());
 

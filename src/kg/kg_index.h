@@ -5,8 +5,9 @@
 //     and sorted ascending at build time; the batched 1-vs-all evaluator
 //     masks exactly these per-query lists to realise the "filtered"
 //     setting in O(|list|) corrections instead of O(|E|) hash probes, and
-//     the NSCaching refresh filters its candidates against the key's one
-//     list (std::binary_search) instead of probing the hash set;
+//     the NSCaching refresh stamps the key's one list into a per-thread
+//     array once per refresh instead of probing the hash set per
+//     candidate;
 //   - per-relation cardinality statistics tph ("tails per head") and hpt
 //     ("heads per tail") — the Bernoulli sampling scheme of TransH [42]
 //     corrupts the head with probability tph / (tph + hpt).

@@ -6,14 +6,19 @@
 // every CacheRefreshResult field and the next raw output of both Rngs must
 // be equal — so the two consumed exactly the same draws. The model is
 // perturbed every few refreshes so candidate scores keep moving, as they
-// do in training. Also pinned here: util GumbelTopK against the
-// partial_sort oracle, Rng::UniformInt streams against the per-call
-// threshold oracle, and GenerateSyntheticKg output against fingerprints
-// recorded with the oracle's GumbelTopK and UniformInt.
+// do in training. The stale-stamp cases check that the refresh's one
+// thread-local stamp array (known-true set, then old entry) carries
+// nothing from one refresh into the next. Also pinned here: util
+// GumbelTopK against the partial_sort oracle, Rng::UniformInt streams
+// against the per-call threshold oracle, and GenerateSyntheticKg output
+// against fingerprints recorded with the oracle's GumbelTopK and
+// UniformInt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -58,8 +63,10 @@ TripleStore MakeStore() {
   return store;
 }
 
-KgeModel MakeModel() {
-  KgeModel model(kEntities, kRelations, 12, MakeScoringFunction("transe"));
+KgeModel MakeModel(int32_t num_entities = kEntities,
+                   int32_t num_relations = kRelations) {
+  KgeModel model(num_entities, num_relations, 12,
+                 MakeScoringFunction("transe"));
   Rng rng(77);
   model.InitXavier(&rng);
   return model;
@@ -68,9 +75,10 @@ KgeModel MakeModel() {
 // Nudges a few entity rows, standing in for training steps between
 // refreshes.
 void Perturb(KgeModel* model, Rng* rng) {
+  const uint64_t num_entities = static_cast<uint64_t>(model->num_entities());
   for (int i = 0; i < 4; ++i) {
-    float* row =
-        model->entity_table().Row(static_cast<int32_t>(rng->UniformInt(kEntities)));
+    float* row = model->entity_table().Row(
+        static_cast<int32_t>(rng->UniformInt(num_entities)));
     for (int d = 0; d < model->dim(); ++d) {
       row[d] += static_cast<float>(rng->Uniform(-0.05, 0.05));
     }
@@ -97,9 +105,13 @@ std::vector<Key> MakeKeys(const TripleStore& store) {
   return keys;
 }
 
-std::vector<EntityId> InitialEntry(int n1, Rng* rng) {
+std::vector<EntityId> InitialEntry(int n1, Rng* rng,
+                                   int32_t num_entities = kEntities) {
   std::vector<EntityId> entry(n1);
-  for (EntityId& e : entry) e = static_cast<EntityId>(rng->UniformInt(kEntities));
+  for (EntityId& e : entry) {
+    e = static_cast<EntityId>(
+        rng->UniformInt(static_cast<uint64_t>(num_entities)));
+  }
   return entry;
 }
 
@@ -112,6 +124,42 @@ void ExpectSameResult(const CacheRefreshResult& got,
       << "refresh " << step;
 }
 
+// A production updater and the oracle over the same model, each with its
+// own identically seeded Rng and its own copy of every entry.
+struct Lockstep {
+  Lockstep(const KgeModel* model, CacheUpdateStrategy strategy, int n2,
+           const KgIndex* filter_index, uint64_t seed)
+      : production(model, strategy, n2, filter_index),
+        reference(model, strategy, n2, filter_index),
+        rng(seed),
+        oracle_rng(seed) {}
+
+  // Refreshes `key` on both sides: the entries, every result field and
+  // the next raw output of both Rngs must be equal afterwards. Returns the
+  // production result through `got`.
+  void Refresh(const Key& key, std::vector<EntityId>* entry,
+               std::vector<EntityId>* oracle_entry, int step,
+               CacheRefreshResult* got) {
+    CacheRefreshResult want;
+    if (key.side == CorruptionSide::kHead) {
+      *got = production.UpdateHeadEntry(entry, key.r, key.fixed, &rng);
+      want = reference.UpdateHeadEntry(oracle_entry, key.r, key.fixed,
+                                       &oracle_rng);
+    } else {
+      *got = production.UpdateTailEntry(entry, key.fixed, key.r, &rng);
+      want = reference.UpdateTailEntry(oracle_entry, key.fixed, key.r,
+                                       &oracle_rng);
+    }
+    ASSERT_EQ(*entry, *oracle_entry) << "refresh " << step;
+    ExpectSameResult(*got, want, step);
+    ASSERT_EQ(rng.Next(), oracle_rng.Next()) << "refresh " << step;
+  }
+
+  CacheUpdater production;
+  oracle::CacheUpdater reference;
+  Rng rng, oracle_rng;
+};
+
 using RefreshCase = std::tuple<CacheUpdateStrategy, bool, int, int>;
 
 class RefreshParityTest : public ::testing::TestWithParam<RefreshCase> {};
@@ -121,9 +169,7 @@ TEST_P(RefreshParityTest, MatchesOracleAfterEveryRefresh) {
   const TripleStore store = MakeStore();
   const KgIndex index(store);
   KgeModel model = MakeModel();
-  const KgIndex* filter_index = filter ? &index : nullptr;
-  const CacheUpdater production(&model, strategy, n2, filter_index);
-  const oracle::CacheUpdater reference(&model, strategy, n2, filter_index);
+  Lockstep both(&model, strategy, n2, filter ? &index : nullptr, 31);
 
   const std::vector<Key> keys = MakeKeys(store);
   Rng setup(5);
@@ -133,7 +179,6 @@ TEST_P(RefreshParityTest, MatchesOracleAfterEveryRefresh) {
   }
   std::vector<std::vector<EntityId>> oracle_entries = entries;
 
-  Rng rng(31), oracle_rng(31);
   Rng keys_rng(9), perturb_rng(13);
   int64_t true_admissions = 0;
   int64_t changed = 0;
@@ -142,20 +187,9 @@ TEST_P(RefreshParityTest, MatchesOracleAfterEveryRefresh) {
     if (step % 16 == 0) Perturb(&model, &perturb_rng);
     // Every fourth refresh hits the dense head key.
     const size_t k = step % 4 == 0 ? 0 : keys_rng.UniformInt(keys.size());
-    const Key& key = keys[k];
-    CacheRefreshResult got, want;
-    if (key.side == CorruptionSide::kHead) {
-      got = production.UpdateHeadEntry(&entries[k], key.r, key.fixed, &rng);
-      want = reference.UpdateHeadEntry(&oracle_entries[k], key.r, key.fixed,
-                                       &oracle_rng);
-    } else {
-      got = production.UpdateTailEntry(&entries[k], key.fixed, key.r, &rng);
-      want = reference.UpdateTailEntry(&oracle_entries[k], key.fixed, key.r,
-                                       &oracle_rng);
-    }
-    ASSERT_EQ(entries[k], oracle_entries[k]) << "refresh " << step;
-    ExpectSameResult(got, want, step);
-    ASSERT_EQ(rng.Next(), oracle_rng.Next()) << "refresh " << step;
+    CacheRefreshResult got;
+    ASSERT_NO_FATAL_FAILURE(
+        both.Refresh(keys[k], &entries[k], &oracle_entries[k], step, &got));
     true_admissions += got.true_admissions;
     changed += got.changed;
   }
@@ -183,6 +217,157 @@ INSTANTIATE_TEST_SUITE_P(
                        // (N1, N2): N2 > N1 and N2 < N1.
                        ::testing::Values(10, 40), ::testing::Values(35)),
     RefreshCaseName);
+
+// Stale stamps. The refresh stamps the key's known-true list and then the
+// old entry into one thread-local array, so nothing stamped for one
+// refresh may change the next. Each case runs on a new thread, whose
+// array starts empty.
+void OnFreshThread(const std::function<void()>& body) {
+  std::thread(body).join();
+}
+
+constexpr int32_t kHubEntities = 600;
+constexpr int kHubN1 = 30;
+constexpr int kHubN2 = 40;
+
+// Two relations over kHubEntities. (r=0, t=0) is a hub head key and
+// (h=1, r=1) a hub tail key: every entity but each 16th is known-true for
+// them, so a hub refresh stamps most of |E| and its redraw budget often
+// runs out. The tail keys (e, r=0) and head keys (r=1, e) have short
+// lists that overlap the hubs', so a hub stamp leaking into their
+// refresh would reject their candidates.
+TripleStore MakeHubStore() {
+  TripleStore store(kHubEntities, 2);
+  for (EntityId e = 0; e < kHubEntities; ++e) {
+    if (e % 16 != 5) {
+      store.Add({e, 0, 0});
+      store.Add({1, 1, e});
+    }
+  }
+  Rng rng(4242);
+  for (int i = 0; i < 400; ++i) {
+    const EntityId h = static_cast<EntityId>(rng.UniformInt(kHubEntities));
+    const EntityId t = static_cast<EntityId>(rng.UniformInt(kHubEntities));
+    store.Add({h, static_cast<RelationId>(i % 2), t});
+  }
+  return store;
+}
+
+// The two hub keys first, then 24 sparse tail keys and 24 sparse head
+// keys.
+std::vector<Key> MakeHubKeys() {
+  std::vector<Key> keys = {{CorruptionSide::kHead, 0, 0},
+                           {CorruptionSide::kTail, 1, 1}};
+  for (EntityId e = 2; e < 26; ++e) {
+    keys.push_back({CorruptionSide::kTail, e, 0});
+  }
+  for (EntityId e = 2; e < 26; ++e) {
+    keys.push_back({CorruptionSide::kHead, e, 1});
+  }
+  return keys;
+}
+
+class StaleStampParityTest
+    : public ::testing::TestWithParam<CacheUpdateStrategy> {};
+
+TEST_P(StaleStampParityTest, HubKeysInterleavedWithSparseHeadAndTailKeys) {
+  const CacheUpdateStrategy strategy = GetParam();
+  OnFreshThread([strategy] {
+    const TripleStore store = MakeHubStore();
+    const KgIndex index(store);
+    ASSERT_GT(index.HeadsOf(0, 0).size(), kHubEntities * 9 / 10);
+    ASSERT_GT(index.TailsOf(1, 1).size(), kHubEntities * 9 / 10);
+    KgeModel model = MakeModel(kHubEntities, 2);
+    Lockstep both(&model, strategy, kHubN2, &index, 61);
+    const std::vector<Key> keys = MakeHubKeys();
+    Rng setup(7), keys_rng(21), perturb_rng(23);
+    std::vector<std::vector<EntityId>> entries;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      entries.push_back(InitialEntry(kHubN1, &setup, kHubEntities));
+    }
+    std::vector<std::vector<EntityId>> oracle_entries = entries;
+    int64_t hub_admissions = 0, sparse_admissions = 0;
+    for (int step = 0; step < 1200; ++step) {
+      if (step % 16 == 0) Perturb(&model, &perturb_rng);
+      // Hub head, sparse tail, hub tail, sparse head, ...: every sparse
+      // refresh directly follows a hub refresh of the other side.
+      const size_t sparse = 2 + keys_rng.UniformInt(24);
+      size_t k = 0;
+      switch (step % 4) {
+        case 0: k = 0; break;
+        case 1: k = sparse; break;
+        case 2: k = 1; break;
+        case 3: k = sparse + 24; break;
+      }
+      CacheRefreshResult got;
+      ASSERT_NO_FATAL_FAILURE(
+          both.Refresh(keys[k], &entries[k], &oracle_entries[k], step, &got));
+      (k < 2 ? hub_admissions : sparse_admissions) += got.true_admissions;
+    }
+    EXPECT_GT(hub_admissions, 0) << "the hub keys never exhausted the "
+                                    "redraw budget";
+    EXPECT_EQ(sparse_admissions, 0);
+  });
+}
+
+TEST_P(StaleStampParityTest, ArrayGrowsBetweenModelsOnOneThread) {
+  const CacheUpdateStrategy strategy = GetParam();
+  OnFreshThread([strategy] {
+    // Small: the kEntities graph of the main parity test. Large: the hub
+    // graph, whose hub keys stamp ids far beyond kEntities.
+    const TripleStore small_store = MakeStore();
+    const KgIndex small_index(small_store);
+    KgeModel small_model = MakeModel();
+    const TripleStore large_store = MakeHubStore();
+    const KgIndex large_index(large_store);
+    KgeModel large_model = MakeModel(kHubEntities, 2);
+    Lockstep small(&small_model, strategy, 35, &small_index, 71);
+    Lockstep large(&large_model, strategy, kHubN2, &large_index, 73);
+
+    const std::vector<Key> small_keys = MakeKeys(small_store);
+    const std::vector<Key> large_keys = MakeHubKeys();
+    Rng setup(8), keys_rng(25), perturb_rng(27);
+    std::vector<std::vector<EntityId>> small_entries, large_entries;
+    for (size_t k = 0; k < small_keys.size(); ++k) {
+      small_entries.push_back(InitialEntry(20, &setup));
+    }
+    for (size_t k = 0; k < large_keys.size(); ++k) {
+      large_entries.push_back(InitialEntry(kHubN1, &setup, kHubEntities));
+    }
+    std::vector<std::vector<EntityId>> small_oracle = small_entries;
+    std::vector<std::vector<EntityId>> large_oracle = large_entries;
+    for (int step = 0; step < 1200; ++step) {
+      if (step % 16 == 0) {
+        Perturb(&small_model, &perturb_rng);
+        Perturb(&large_model, &perturb_rng);
+      }
+      // The first 100 refreshes use only the small model; from then on
+      // the models alternate, so the array grows at step 101 and the
+      // small model's refreshes run on the larger array after that.
+      CacheRefreshResult got;
+      if (step <= 100 || step % 2 == 0) {
+        const size_t k =
+            step % 3 == 0 ? 0 : keys_rng.UniformInt(small_keys.size());
+        ASSERT_NO_FATAL_FAILURE(small.Refresh(small_keys[k], &small_entries[k],
+                                              &small_oracle[k], step, &got));
+      } else {
+        const size_t k = step % 3 == 0
+                             ? (step / 3) % 2
+                             : keys_rng.UniformInt(large_keys.size());
+        ASSERT_NO_FATAL_FAILURE(large.Refresh(large_keys[k], &large_entries[k],
+                                              &large_oracle[k], step, &got));
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, StaleStampParityTest,
+    ::testing::Values(CacheUpdateStrategy::kImportanceSampling,
+                      CacheUpdateStrategy::kTop, CacheUpdateStrategy::kUniform),
+    [](const ::testing::TestParamInfo<CacheUpdateStrategy>& info) {
+      return CacheUpdateStrategyName(info.param);
+    });
 
 class SelectParityTest
     : public ::testing::TestWithParam<CacheSelectStrategy> {};

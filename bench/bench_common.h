@@ -82,9 +82,9 @@ inline PipelineConfig BasePipeline(const std::string& scorer,
   c.train.l2_lambda = semantic ? 0.01 : 0.0;
   c.train.seed = s.seed;
   // The table/figure reproductions measure the paper's per-pair
-  // Algorithm 1/2 semantics (interleaved sampling, per-pair scoring), so
-  // they pin the legacy path; bench_throughput re-enables fusion
-  // explicitly for its fused-vs-pair rows.
+  // Algorithm 1/2 semantics (interleaved sampling, per-pair scoring; RR
+  // and NZL are defined on it), so they pin the one-thread pair loop;
+  // bench_throughput re-enables fusion explicitly.
   c.train.fused_scoring = false;
   c.nscaching.n1 = s.n1;
   c.nscaching.n2 = s.n2;

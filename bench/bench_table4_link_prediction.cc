@@ -12,11 +12,8 @@
 // Runtime is controlled by NSC_SCALE / NSC_EPOCHS / NSC_FULL; by default a
 // reduced sweep runs in a few minutes. NSC_SCORERS / NSC_DATASETS can
 // restrict the grid (comma lists, e.g. NSC_SCORERS=transe,complex). All
-// rankings run through the batched 1-vs-all evaluator; --legacy-eval
-// pins the per-candidate reference evaluator instead (identical ranks,
-// useful for timing A/Bs and as an escape hatch).
+// rankings run through the batched 1-vs-all evaluator.
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,17 +38,12 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 
 int main(int argc, char** argv) {
   using namespace nsc;
-  const bench::Settings s = bench::GetSettings();
-
-  bool legacy_eval = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--legacy-eval") == 0) {
-      legacy_eval = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--legacy-eval]\n", argv[0]);
-      return 1;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (no flags; see the NSC_* environment "
+                 "knobs)\n", argv[0]);
+    return 1;
   }
+  const bench::Settings s = bench::GetSettings();
 
   const std::vector<std::string> scorers = SplitCsv(GetEnvString(
       "NSC_SCORERS", "transe,transh,transd,distmult,complex"));
@@ -60,9 +52,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== Table IV: link prediction, %d epochs (+%d pretrain), dim=%d, "
-      "scale=%.2f, %s evaluator ===\n\n",
-      s.epochs, s.pretrain, s.dim, s.scale,
-      legacy_eval ? "legacy per-candidate" : "batched 1-vs-all");
+      "scale=%.2f ===\n\n",
+      s.epochs, s.pretrain, s.dim, s.scale);
 
   for (const std::string& dataset_name : datasets) {
     const Dataset dataset = bench::GetDataset(dataset_name, s);
@@ -79,7 +70,6 @@ int main(int argc, char** argv) {
         config.pretrain_epochs = pretrain;
         config.train.epochs = epochs;
         config.eval_valid_every = s.eval_every;
-        config.legacy_eval = legacy_eval;
         const PipelineResult result = RunPipeline(dataset, config);
         table.AddRow({scorer, label,
                       TextTable::Fixed(result.test_metrics.mrr(), 4),

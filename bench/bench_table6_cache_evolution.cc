@@ -7,11 +7,8 @@
 // with profession entities (harder, type-consistent negatives).
 //
 // The NSCaching refreshes during training and the final link-prediction
-// footer both run on the batched 1-vs-all scoring primitive;
-// --legacy-eval pins the per-candidate reference evaluator for the
-// footer (identical ranks).
+// footer both run on the batched 1-vs-all scoring primitive.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_common.h"
@@ -23,17 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace nsc;
-  const bench::Settings s = bench::GetSettings();
-
-  bool legacy_eval = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--legacy-eval") == 0) {
-      legacy_eval = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--legacy-eval]\n", argv[0]);
-      return 1;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (no flags; see the NSC_* environment "
+                 "knobs)\n", argv[0]);
+    return 1;
   }
+  const bench::Settings s = bench::GetSettings();
 
   const Dataset dataset = GenerateProfessionsKg(400, 40, /*seed=*/s.seed + 6);
   const KgIndex train_index(dataset.train);
@@ -103,15 +95,12 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.Render().c_str());
 
   // Quantitative footer: filtered link prediction of the trained model,
-  // through the same evaluator pair as Table IV.
+  // through the same evaluator as Table IV.
   const KgIndex filter_index(std::vector<const TripleStore*>{
       &dataset.train, &dataset.valid, &dataset.test});
-  LinkPredictionOptions eval_opts;
-  eval_opts.use_batched = !legacy_eval;
   const RankingMetrics m =
-      EvaluateLinkPrediction(model, dataset.test, filter_index, eval_opts);
-  std::printf("final filtered test metrics (%s evaluator, %zu triples): %s\n\n",
-              legacy_eval ? "legacy per-candidate" : "batched 1-vs-all",
+      EvaluateLinkPrediction(model, dataset.test, filter_index);
+  std::printf("final filtered test metrics (%zu triples): %s\n\n",
               dataset.test.size(), m.ToString().c_str());
 
   std::printf(

@@ -1,20 +1,11 @@
-// Training-engine throughput: triples/second for the legacy serial loop
-// vs the batched engine at 1, 2 and 4 worker threads, per scorer and
-// sampler, on the synthetic KG. This is the tentpole measurement of the
-// batched/parallel refactor: the serial row is the pre-refactor baseline
-// (pair-at-a-time, virtual Score/Backward per pair), the t=1 row isolates
-// the batched machinery (bit-for-bit identical training result), and the
-// t>1 rows show Hogwild scaling — near-linear on real multi-core
-// hardware; bounded by the machine (report includes the detected core
-// count so single-core CI numbers are not misread as a refactor defect).
-//
-// For NSCaching the t>1 rows come in two flavours, isolating the sharded
-// cache refresh (the paper's dominant cost, Table I):
-//   "serial refresh"  — TrainConfig::force_serial_sampling: the whole
-//                       batch is sampled+refreshed on one thread before
-//                       the gradient work fans out (the pre-shard path);
-//   "sharded refresh" — select/corrupt/refresh run inside the Hogwild
-//                       workers against the lock-striped cache shards.
+// Training-engine throughput: triples/second of the fused engine at 1,
+// 2, 4, ... worker threads (up to NSC_THREADS), per scorer and sampler,
+// on the synthetic KG. The t=1 row is the deterministic fused serial
+// engine; the t>1 rows are fused Hogwild, where NSCaching's select,
+// corrupt and cache refresh run inside the workers against the
+// lock-striped cache shards. Speedups are vs the t=1 row and bounded by
+// the machine (the report prints the detected core count so single-core
+// numbers are not misread as an engine defect).
 //
 // A kernel microbench section precedes the training runs: raw ScoreBatch
 // and BackwardBatch throughput (triples/sec and effective GB/s) for the
@@ -23,23 +14,6 @@
 // speedup. The banner names the dispatch path so recorded numbers are
 // attributable to a kernel variant (NSC_FORCE_SCALAR=1 re-runs everything
 // on the scalar path).
-//
-// Every batched row comes in two flavours, isolating the fused hot path
-// (ISSUE 4): "pair" trains pair-at-a-time (per-pair virtual
-// Score/Backward, the pre-fusion engine), "fused" scores each fusion
-// block's positives and negatives in two ScoreBatch calls through the
-// SIMD dispatch and differentiates the loss batch in one
-// Loss::ComputeBatch before the per-pair update walk. On a SIMD dispatch
-// path the fused rows should beat their pair twins — that is the
-// end-to-end payoff of the batched kernels.
-//
-// An evaluation bench (--eval) replaces the training sections with a
-// link-prediction ranking A/B: the legacy per-candidate evaluator (one
-// virtual Score + one hash probe per candidate) against the batched
-// 1-vs-all sweep (ISSUE 5), reporting ranked queries/sec, candidate
-// entity-scores/sec and the effective entity-row bandwidth per scorer.
-// Both evaluators must report the same MRR — the bench fails loudly if
-// they diverge.
 //
 // A shard-scaling bench (--shards=<list>) runs the three consumers the
 // sharded-table PR reroutes — fused Hogwild training, the batched
@@ -62,13 +36,11 @@
 // tools/check_bench_json.py) — BENCH_topk.json is a committed baseline.
 //
 // Knobs: NSC_SCALE / NSC_EPOCHS / NSC_DIM / NSC_SEED (see bench_common.h)
-// plus NSC_THREADS (comma-free max thread count to sweep, default 4).
+// plus NSC_THREADS (max thread count to sweep, default 4).
 // Args: --sampler=bernoulli|nscaching|all (default all) and
 // --scorer=transe|distmult|complex|all (default all) filter the workload
-// and kernel lists; --fused=on|off|both (default both) keeps only the
-// fused rows, only the pair rows, or both; --eval runs the evaluation
-// A/B instead of the training sections; --topk runs the top-K retrieval
-// A/B.
+// and kernel lists; --topk runs the top-K retrieval A/B instead;
+// --shards=<list> runs the shard-scaling bench instead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -94,30 +66,21 @@
 namespace nsc {
 namespace {
 
-struct RunSpec {
-  std::string label;
-  bool serial = false;  // Legacy RunEpochSerial baseline.
-  int threads = 1;
-  bool force_serial_sampling = false;
-  bool fused = false;  // Fused ScoreBatch→Loss→BackwardBatch hot path.
-};
-
 struct RunResult {
   double triples_per_sec = 0.0;
   double mean_loss = 0.0;
 };
 
-// Trains `epochs` timed epochs (after one untimed warmup epoch, so cache
-// warm-up and first-touch page faults don't pollute the serial baseline)
-// and reports end-to-end training throughput, sampling included.
+// Trains `epochs` timed epochs on the fused engine at `threads` workers
+// (after one untimed warmup epoch, so cache warm-up and first-touch page
+// faults stay out of the numbers) and reports end-to-end training
+// throughput, sampling included.
 RunResult MeasureRun(const Dataset& data, const KgIndex& index,
                      const std::string& scorer, SamplerKind sampler_kind,
-                     const bench::Settings& s, const RunSpec& spec,
-                     int epochs) {
+                     const bench::Settings& s, int threads, int epochs) {
   PipelineConfig config = bench::BasePipeline(scorer, sampler_kind, s);
-  config.train.num_threads = spec.threads;
-  config.train.force_serial_sampling = spec.force_serial_sampling;
-  config.train.fused_scoring = spec.fused;
+  config.train.num_threads = threads;
+  config.train.fused_scoring = true;
 
   KgeModel model(data.num_entities(), data.num_relations(), s.dim,
                  MakeScoringFunction(scorer));
@@ -127,16 +90,11 @@ RunResult MeasureRun(const Dataset& data, const KgIndex& index,
       MakeSampler(sampler_kind, &model, &index, config);
   Trainer trainer(&model, &data.train, sampler.get(), config.train);
 
-  if (spec.serial) {
-    trainer.RunEpochSerial();  // Warmup.
-  } else {
-    trainer.RunEpoch();
-  }
+  trainer.RunEpoch();  // Warmup.
   double seconds = 0.0;
   double loss = 0.0;
   for (int e = 0; e < epochs; ++e) {
-    const EpochStats stats =
-        spec.serial ? trainer.RunEpochSerial() : trainer.RunEpoch();
+    const EpochStats stats = trainer.RunEpoch();
     seconds += stats.seconds;
     loss = stats.mean_loss;
   }
@@ -256,102 +214,26 @@ bool RunKernelMicrobench(const std::string& scorer_filter, int dim,
   return any;
 }
 
-// ---- Evaluation bench ------------------------------------------------------
+// ---- Evaluation timing -----------------------------------------------------
 
-struct EvalRunResult {
-  double queries_per_sec = 0.0;  // Ranked (triple, side) queries/sec.
-  double scores_per_sec = 0.0;   // Candidate entity scores/sec.
-  double gbps = 0.0;             // Entity-row bytes streamed per second.
-  double mrr = 0.0;              // Sanity: must agree across evaluators.
-};
-
-// Times repeated full evaluations (one untimed warmup) for ~0.3s on one
-// thread, so the numbers isolate per-query evaluator cost rather than
-// thread scaling.
-EvalRunResult MeasureEval(const KgeModel& model, const TripleStore& test,
-                          const KgIndex& filter, bool batched,
-                          size_t max_triples) {
+// Ranked (triple, side) queries/sec of repeated full filtered evaluations
+// (one untimed warmup) for ~0.3s on one thread, so the number isolates
+// per-query evaluator cost rather than thread scaling.
+double MeasureEvalQps(const KgeModel& model, const TripleStore& test,
+                      const KgIndex& filter, size_t max_triples) {
   LinkPredictionOptions opts;
   opts.num_threads = 1;
   opts.max_triples = max_triples;
-  opts.use_batched = batched;
   const size_t limit =
       max_triples == 0 ? test.size() : std::min(max_triples, test.size());
-  RankingMetrics m = EvaluateLinkPrediction(model, test, filter, opts);
+  EvaluateLinkPrediction(model, test, filter, opts);
   int reps = 0;
   Stopwatch watch;
   do {
-    m = EvaluateLinkPrediction(model, test, filter, opts);
+    EvaluateLinkPrediction(model, test, filter, opts);
     ++reps;
   } while (watch.Seconds() < 0.3);
-  EvalRunResult r;
-  const double queries = 2.0 * static_cast<double>(limit) * reps;
-  r.queries_per_sec = queries / watch.Seconds();
-  r.scores_per_sec = r.queries_per_sec * model.num_entities();
-  r.gbps =
-      r.scores_per_sec * model.entity_table().width() * sizeof(float) / 1e9;
-  r.mrr = m.mrr();
-  return r;
-}
-
-int RunEvalBench(const std::string& scorer_filter, const bench::Settings& s) {
-  const Dataset data = bench::GetDataset("wn18rr", s);
-  const KgIndex filter(std::vector<const TripleStore*>{
-      &data.train, &data.valid, &data.test});
-  const size_t cap = std::min(
-      s.eval_cap == 0 ? data.test.size() : s.eval_cap, data.test.size());
-  std::printf("--- link-prediction evaluation: legacy per-candidate vs "
-              "batched 1-vs-all ---\n");
-  std::printf("|E|=%d  %zu test triples (x2 sides)  dim=%d  filtered  t=1\n\n",
-              data.num_entities(), cap, s.dim);
-  TextTable table;
-  table.SetHeader({"scorer", "evaluator", "queries/s", "Mscores/s", "GB/s",
-                   "speedup"});
-  bool any = false;
-  bool mrr_mismatch = false;
-  for (const char* name : {"transe", "distmult", "complex"}) {
-    if (scorer_filter != "all" && scorer_filter != name) continue;
-    any = true;
-    KgeModel model(data.num_entities(), data.num_relations(), s.dim,
-                   MakeScoringFunction(name));
-    Rng rng(s.seed);
-    model.InitXavier(&rng);
-    const EvalRunResult legacy =
-        MeasureEval(model, data.test, filter, /*batched=*/false, cap);
-    const EvalRunResult batched =
-        MeasureEval(model, data.test, filter, /*batched=*/true, cap);
-    auto add_row = [&](const char* label, const EvalRunResult& r) {
-      char qps[32], sps[32], gbps[32], sp[32];
-      std::snprintf(qps, sizeof(qps), "%.0f", r.queries_per_sec);
-      std::snprintf(sps, sizeof(sps), "%.1f", r.scores_per_sec / 1e6);
-      std::snprintf(gbps, sizeof(gbps), "%.2f", r.gbps);
-      std::snprintf(sp, sizeof(sp), "%.2fx",
-                    legacy.queries_per_sec > 0.0
-                        ? r.queries_per_sec / legacy.queries_per_sec
-                        : 0.0);
-      table.AddRow({name, label, qps, sps, gbps, sp});
-    };
-    add_row("legacy", legacy);
-    add_row("1-vs-all", batched);
-    if (batched.mrr != legacy.mrr) {
-      mrr_mismatch = true;
-      std::fprintf(stderr,
-                   "FAIL: %s evaluators disagree: legacy MRR=%.17g vs "
-                   "1-vs-all MRR=%.17g\n",
-                   name, legacy.mrr, batched.mrr);
-    }
-  }
-  if (!any) {
-    std::fprintf(stderr, "no eval scorer matches --scorer\n");
-    return 1;
-  }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf(
-      "Each query ranks one test-triple side against every entity. The\n"
-      "1-vs-all rows stream the padded entity table through one sweep\n"
-      "kernel per query and mask the per-query filter lists; the legacy\n"
-      "rows pay one virtual Score() and one hash probe per candidate.\n");
-  return mrr_mismatch ? 1 : 0;
+  return 2.0 * static_cast<double>(limit) * reps / watch.Seconds();
 }
 
 // ---- Top-K retrieval bench -------------------------------------------------
@@ -471,8 +353,7 @@ TopKRunResult MeasureTopKRun(const std::string& scorer_name, int32_t entities,
 
 // Emits the --topk runs as schema-stable JSON (schema_version 1 — the
 // contract tools/check_bench_json.py validates in CI). Mscores/s counts
-// candidate scores logically examined per second (queries/s × |E|), the
-// common currency with the --eval bench.
+// candidate scores logically examined per second (queries/s × |E|).
 bool WriteTopKJson(const std::string& path,
                    const std::vector<TopKRunResult>& runs, int32_t entities,
                    size_t k, int dim) {
@@ -629,9 +510,7 @@ ShardRunResult MeasureShardRun(const Dataset& data, const KgIndex& index,
   // Evaluation: one slab sweep per shard per query.
   const size_t cap = std::min(
       s.eval_cap == 0 ? data.test.size() : s.eval_cap, data.test.size());
-  const EvalRunResult eval =
-      MeasureEval(model, data.test, filter, /*batched=*/true, cap);
-  result.eval_qps = eval.queries_per_sec;
+  result.eval_qps = MeasureEvalQps(model, data.test, filter, cap);
 
   // Top-K: the fused tile collector crossing shard boundaries with a
   // per-shard index base.
@@ -765,15 +644,12 @@ int main(int argc, char** argv) {
 
   std::string sampler_filter = "all";
   std::string scorer_filter = "all";
-  std::string fused_filter = "both";
   std::string json_path;
-  bool eval_only = false;
   bool topk_only = false;
   std::vector<int> shard_targets;
   for (int i = 1; i < argc; ++i) {
     const char* kSamplerFlag = "--sampler=";
     const char* kScorerFlag = "--scorer=";
-    const char* kFusedFlag = "--fused=";
     const char* kJsonFlag = "--json=";
     const char* kShardsFlag = "--shards=";
     if (std::strncmp(argv[i], kSamplerFlag, std::strlen(kSamplerFlag)) == 0) {
@@ -781,9 +657,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], kScorerFlag, std::strlen(kScorerFlag)) ==
                0) {
       scorer_filter = argv[i] + std::strlen(kScorerFlag);
-    } else if (std::strncmp(argv[i], kFusedFlag, std::strlen(kFusedFlag)) ==
-               0) {
-      fused_filter = argv[i] + std::strlen(kFusedFlag);
     } else if (std::strncmp(argv[i], kJsonFlag, std::strlen(kJsonFlag)) == 0) {
       json_path = argv[i] + std::strlen(kJsonFlag);
     } else if (std::strncmp(argv[i], kShardsFlag, std::strlen(kShardsFlag)) ==
@@ -806,15 +679,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "empty --shards list\n");
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--eval") == 0) {
-      eval_only = true;
     } else if (std::strcmp(argv[i], "--topk") == 0) {
       topk_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sampler=bernoulli|nscaching|all]"
                    " [--scorer=transe|distmult|complex|all]"
-                   " [--fused=on|off|both] [--eval] [--topk]"
+                   " [--topk]"
                    " [--shards=<n,n,...>] [--json=<path>]\n",
                    argv[0]);
       return 1;
@@ -838,10 +709,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --scorer=%s\n", scorer_filter.c_str());
     return 1;
   }
-  if (fused_filter != "both" && fused_filter != "on" && fused_filter != "off") {
-    std::fprintf(stderr, "unknown --fused=%s\n", fused_filter.c_str());
-    return 1;
-  }
 
   bench::Settings s = bench::GetSettings();
   const int max_threads =
@@ -849,8 +716,8 @@ int main(int argc, char** argv) {
   const int epochs = std::max(1, std::min(s.epochs, 5));
 
   if (!shard_targets.empty()) {
-    if (topk_only || eval_only) {
-      std::fprintf(stderr, "--shards is its own suite; drop --topk/--eval\n");
+    if (topk_only) {
+      std::fprintf(stderr, "--shards is its own suite; drop --topk\n");
       return 1;
     }
     std::printf("=== Entity shard scaling ===\n\n");
@@ -865,13 +732,6 @@ int main(int argc, char** argv) {
     std::printf("simd dispatch: %s  (NSC_FORCE_SCALAR=1 forces scalar)\n\n",
                 simd::ActivePathName());
     return RunTopKBench(scorer_filter, s, json_path);
-  }
-
-  if (eval_only) {
-    std::printf("=== Link-prediction evaluation throughput ===\n\n");
-    std::printf("simd dispatch: %s  (NSC_FORCE_SCALAR=1 forces scalar)\n\n",
-                simd::ActivePathName());
-    return RunEvalBench(scorer_filter, s);
   }
 
   const Dataset data = bench::GetDataset("wn18rr", s);
@@ -911,46 +771,20 @@ int main(int argc, char** argv) {
     if (scorer_filter != "all" && scorer_filter != w.scorer) continue;
     any_run = true;
 
-    std::vector<RunSpec> specs;
-    specs.push_back({"serial (legacy loop)", true, 1, false, false});
-    const bool want_pair = fused_filter != "on";
-    const bool want_fused = fused_filter != "off";
-    for (int t = 1; t <= max_threads; t *= 2) {
-      const std::string base = "batched t=" + std::to_string(t);
-      // Every batched variant gets a pair-at-a-time row and a fused twin,
-      // so the fused speedup is attributable at each thread count.
-      auto add_rows = [&](const std::string& label, bool serial_sampling) {
-        if (want_pair) {
-          specs.push_back({label + " pair", false, t, serial_sampling, false});
-        }
-        if (want_fused) {
-          specs.push_back({label + " fused", false, t, serial_sampling, true});
-        }
-      };
-      if (t > 1 && w.sampler == SamplerKind::kNSCaching) {
-        // Isolate the sharded refresh: same thread count, refresh pinned
-        // to one thread vs fanned out across the workers.
-        add_rows(base + " (serial refresh)", true);
-        add_rows(base + " (sharded refresh)", false);
-      } else {
-        add_rows(base, false);
-      }
-    }
-
     std::printf("--- %s ---\n", w.label.c_str());
     TextTable table;
     table.SetHeader({"engine", "triples/sec", "speedup", "final loss"});
     double baseline = 0.0;
-    for (const RunSpec& spec : specs) {
+    for (int t = 1; t <= max_threads; t *= 2) {
       const RunResult r =
-          MeasureRun(data, index, w.scorer, w.sampler, s, spec, epochs);
-      if (spec.serial) baseline = r.triples_per_sec;
+          MeasureRun(data, index, w.scorer, w.sampler, s, t, epochs);
+      if (t == 1) baseline = r.triples_per_sec;
       char tput[32], speedup[32], loss[32];
       std::snprintf(tput, sizeof(tput), "%.0f", r.triples_per_sec);
       std::snprintf(speedup, sizeof(speedup), "%.2fx",
                     baseline > 0.0 ? r.triples_per_sec / baseline : 0.0);
       std::snprintf(loss, sizeof(loss), "%.4f", r.mean_loss);
-      table.AddRow({spec.label, tput, speedup, loss});
+      table.AddRow({"fused t=" + std::to_string(t), tput, speedup, loss});
     }
     std::printf("%s\n", table.Render().c_str());
   }
@@ -962,13 +796,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Note: the batched t=1 PAIR engine trains bit-for-bit identically to\n"
-      "the serial loop (see trainer_parallel_test); fused rows score each\n"
-      "fusion block through ScoreBatch + Loss::ComputeBatch (scores stale\n"
-      "by at most fused_block pairs — small loss deltas vs pair rows are\n"
-      "that staleness), and loss differences in t>1 rows are the expected\n"
-      "Hogwild asynchrony. NSCaching t>1 rows compare the pre-shard serial\n"
-      "sampling pre-pass against in-worker sampling over the sharded\n"
-      "cache.\n");
+      "Note: fused rows score each fusion block through ScoreBatch +\n"
+      "Loss::ComputeBatch (scores stale by at most fused_block pairs); loss\n"
+      "differences in t>1 rows are the expected Hogwild asynchrony.\n");
   return 0;
 }

@@ -8,7 +8,7 @@
 // per-pair losses and ∂loss/∂score vectors — the shape the fused trainer
 // path feeds straight into BackwardBatch. A scalar Compute(pos, neg)
 // adapter wraps a one-pair batch so single-pair callers (and the
-// bit-for-bit legacy training loop) keep working unchanged; both margin
+// trainer's bit-for-bit pair loop) keep working unchanged; both margin
 // and logistic batches apply exactly the per-pair scalar arithmetic, so
 // batch and scalar results are bit-identical.
 #ifndef NSCACHING_EMBEDDING_LOSS_H_
@@ -70,12 +70,9 @@ class Loss {
                             LossBatchGrad* out) const = 0;
 
   /// Scalar adapter over a one-pair batch, for single-pair callers (the
-  /// legacy per-pair training loop, probes, tests).
+  /// trainer's pair loop, probes, tests).
   LossGrad Compute(double pos_score, double neg_score) const;
 };
-
-/// Legacy name of the interface, kept for existing call sites.
-using PairwiseLoss = Loss;
 
 /// Eq. (1): [γ − f(pos) + f(neg)]₊. Gradient is zero once the pair is
 /// separated by the margin — the vanishing-gradient regime NSCaching is

@@ -72,9 +72,8 @@ class ScoringFunction {
   /// order. This is the trainer's fused hot path
   /// (TrainConfig::fused_scoring, the default): each worker sub-batch
   /// drives one BackwardBatch call with per-pair loss gradients as the
-  /// coefficients; the legacy pair path (fused_scoring = false) calls the
-  /// single-triple Backward to stay bit-compatible with the pre-batch
-  /// engine.
+  /// coefficients; the pair loop (fused_scoring = false) calls the
+  /// single-triple Backward once per side of each pair.
   virtual void BackwardBatch(const float* const* h, const float* const* r,
                              const float* const* t, int dim, size_t n,
                              const float* coeff, float* const* gh,

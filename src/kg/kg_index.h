@@ -1,6 +1,6 @@
 // Hash indexes over a set of triples:
 //   - membership test Contains(h, r, t) — false-negative filtering and the
-//     legacy per-candidate evaluator need it;
+//     per-candidate evaluator oracle of the tests need it;
 //   - adjacency lists (h, r) -> tails and (r, t) -> heads — deduplicated
 //     and sorted ascending at build time; the batched 1-vs-all evaluator
 //     masks exactly these per-query lists to realise the "filtered"

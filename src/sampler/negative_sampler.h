@@ -39,14 +39,14 @@ class NegativeSampler {
 
   /// Draws one negative for each of pos[0..n) into out[0..n). The default
   /// loops over Sample() in index order, so it consumes `rng` exactly like
-  /// n sequential Sample() calls — the batched trainer relies on this to
-  /// stay bit-for-bit compatible with the serial loop.
+  /// n sequential Sample() calls: the fused trainer's per-batch pre-pass
+  /// draws a stateless sampler's negatives exactly as the pair loop does.
   virtual void SampleBatch(const Triple* pos, size_t n, Rng* rng,
                            NegativeSample* out);
 
   /// True when Sample() depends only on (pos, rng) — no mutable sampler
-  /// state and no model parameters (uniform/Bernoulli). The trainer may
-  /// then pre-sample ahead of parameter updates without changing results.
+  /// state and no model parameters (uniform/Bernoulli), so sampling
+  /// ahead of parameter updates changes no draw.
   /// Model-coupled samplers (NSCaching, KBGAN) must keep the default
   /// `false`.
   virtual bool stateless_sampling() const { return false; }

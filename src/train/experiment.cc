@@ -95,7 +95,6 @@ PipelineResult RunPipeline(const Dataset& dataset,
   LinkPredictionOptions periodic_opts;
   periodic_opts.max_triples = config.periodic_eval_max_triples;
   periodic_opts.num_threads = config.eval_threads;
-  periodic_opts.use_batched = !config.legacy_eval;
 
   std::unique_ptr<KgeModel> best_model;
   double best_valid_mrr = -1.0;
@@ -142,7 +141,6 @@ PipelineResult RunPipeline(const Dataset& dataset,
 
   LinkPredictionOptions final_opts;
   final_opts.num_threads = config.eval_threads;
-  final_opts.use_batched = !config.legacy_eval;
   result.test_metrics = EvaluateLinkPrediction(*result.model, dataset.test,
                                                filter_index, final_opts);
   return result;

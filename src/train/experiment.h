@@ -51,11 +51,6 @@ struct PipelineConfig {
   /// final test evaluation always uses every test triple.
   size_t periodic_eval_max_triples = 0;
   int eval_threads = 0;  // <= 0: hardware default.
-  /// Pin the legacy per-candidate evaluator instead of the batched
-  /// 1-vs-all ranker (the benches' --legacy-eval escape hatch). Both
-  /// produce identical ranks; this exists for A/B timing and as a
-  /// fallback should a new scorer's sweep kernel misbehave.
-  bool legacy_eval = false;
 };
 
 /// One point of a convergence-vs-time curve.

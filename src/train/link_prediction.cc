@@ -25,32 +25,7 @@ double RankFromCounts(const SideCounts& c, TieBreak tie_break) {
              : optimistic + 0.5 * static_cast<double>(c.ties);
 }
 
-/// Legacy reference evaluator: one virtual Score() and (when filtered)
-/// one hash probe per candidate entity.
-SideCounts CountOneSideLegacy(const KgeModel& model, const Triple& x,
-                              CorruptionSide side, const KgIndex& filter_index,
-                              bool filtered) {
-  const int32_t num_entities = model.num_entities();
-  const double true_score = model.Score(x);
-  SideCounts counts;
-  Triple corrupted = x;
-  for (EntityId e = 0; e < num_entities; ++e) {
-    if (side == CorruptionSide::kHead) {
-      if (e == x.h) continue;
-      corrupted.h = e;
-    } else {
-      if (e == x.t) continue;
-      corrupted.t = e;
-    }
-    if (filtered && filter_index.Contains(corrupted)) continue;
-    const double s = model.Score(corrupted);
-    counts.greater += s > true_score;
-    counts.ties += s == true_score;
-  }
-  return counts;
-}
-
-/// Batched counterpart over a full 1-vs-all sweep: `scores[e]` holds the
+/// Counts over a full 1-vs-all sweep: `scores[e]` holds the
 /// candidate score of every entity e (including the true one, whose own
 /// sweep score is the comparison reference so candidate-vs-true
 /// comparisons never mix two kernels' arithmetic). The dense count over
@@ -207,28 +182,17 @@ RankingMetrics EvaluateLinkPrediction(const KgeModel& model,
         slots[c].metrics = local;
         return;
       }
-      std::vector<double> scores;
-      if (options.use_batched) {
-        scores.resize(static_cast<size_t>(model.num_entities()));
-      }
+      std::vector<double> scores(static_cast<size_t>(model.num_entities()));
       for (size_t i = lo; i < hi; ++i) {
         const Triple& x = eval_set[i];
-        SideCounts head, tail;
-        if (options.use_batched) {
-          model.ScoreAllHeads(x.r, x.t, scores.data());
-          head = CountOneSideBatched(scores.data(), model.num_entities(), x.h,
-                                     options.filtered,
-                                     filter_index.HeadsOf(x.r, x.t));
-          model.ScoreAllTails(x.h, x.r, scores.data());
-          tail = CountOneSideBatched(scores.data(), model.num_entities(), x.t,
-                                     options.filtered,
-                                     filter_index.TailsOf(x.h, x.r));
-        } else {
-          head = CountOneSideLegacy(model, x, CorruptionSide::kHead,
-                                    filter_index, options.filtered);
-          tail = CountOneSideLegacy(model, x, CorruptionSide::kTail,
-                                    filter_index, options.filtered);
-        }
+        model.ScoreAllHeads(x.r, x.t, scores.data());
+        const SideCounts head = CountOneSideBatched(
+            scores.data(), model.num_entities(), x.h, options.filtered,
+            filter_index.HeadsOf(x.r, x.t));
+        model.ScoreAllTails(x.h, x.r, scores.data());
+        const SideCounts tail = CountOneSideBatched(
+            scores.data(), model.num_entities(), x.t, options.filtered,
+            filter_index.TailsOf(x.h, x.r));
         local.AddRank(RankFromCounts(head, options.tie_break));
         local.AddRank(RankFromCounts(tail, options.tie_break));
       }

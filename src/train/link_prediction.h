@@ -6,17 +6,15 @@
 // ranking another true fact highly. Evaluation parallelises over test
 // triples with a thread pool.
 //
-// Two evaluator implementations share the protocol:
-//   - the batched 1-vs-all ranker (default): per query one
-//     KgeModel::ScoreAllHeads/ScoreAllTails sweep fills a per-worker
-//     score buffer over every entity, the rank is a vectorizable count
-//     of scores above the true score, and the filtered setting masks the
-//     per-query known-true candidate lists the KgIndex already stores
-//     (HeadsOf/TailsOf) — O(|filter|) corrections instead of O(|E|)
-//     hash probes;
-//   - the legacy per-candidate loop (use_batched = false): one virtual
-//     Score() plus one Contains() per candidate, kept as the reference
-//     the parity test pins the sweep against.
+// Per query, one KgeModel::ScoreAllHeads/ScoreAllTails sweep fills a
+// per-worker score buffer over every entity, the rank is a vectorizable
+// count of scores above the true score, and the filtered setting masks
+// the per-query known-true candidate lists the KgIndex already stores
+// (HeadsOf/TailsOf) — O(|filter|) corrections instead of O(|E|) hash
+// probes. The per-candidate reference ranker (one virtual Score() plus
+// one Contains() per candidate) lives in
+// tests/train/link_prediction_oracle.h, where the parity test pins this
+// evaluator against it.
 #ifndef NSCACHING_TRAIN_LINK_PREDICTION_H_
 #define NSCACHING_TRAIN_LINK_PREDICTION_H_
 
@@ -50,10 +48,6 @@ struct LinkPredictionOptions {
   /// Evaluate at most this many triples (0 = all) — lets benches trade
   /// precision for speed on the periodic evaluations of Figures 2-5.
   size_t max_triples = 0;
-  /// Rank through the batched 1-vs-all sweep (default). false pins the
-  /// legacy per-candidate evaluator — the escape hatch the benches
-  /// expose as --legacy-eval, and the baseline of the parity test.
-  bool use_batched = true;
   /// Tie handling; kOptimistic reproduces the historical ranks exactly.
   TieBreak tie_break = TieBreak::kOptimistic;
   /// Hits@K-only early-exit mode: rank work for a query side stops as
@@ -67,7 +61,6 @@ struct LinkPredictionOptions {
   /// evaluator's under both tie policies: per-tile filtered corrections
   /// keep the running strictly-greater count an exact lower bound of
   /// the final one, and non-exited queries finish with exact counts.
-  /// Implies the batched sweeps (use_batched is ignored when set).
   bool hits_only = false;
   /// K of the hits_only mode; must be in [1, 10] (the tracked-K range
   /// of RankingMetrics).

@@ -20,9 +20,9 @@ struct TrainConfig {
   double l2_lambda = 0.0;
   int batch_size = 256;
   int epochs = 50;
-  /// Worker threads for the batched engine. 1 = serial reference
-  /// semantics (bit-for-bit reproducible); >1 = Hogwild-style lock-free
-  /// parallel execution of each mini-batch; <= 0 = hardware default.
+  /// Worker threads. 1 = one training thread, deterministic for a fixed
+  /// seed; >1 = Hogwild-style lock-free parallel execution of each
+  /// mini-batch (fused engine only); <= 0 = hardware default.
   int num_threads = 1;
   /// Batch-first fused hot path (the default): each worker's share of a
   /// mini-batch is scored in two ScoreBatch calls through the SIMD
@@ -30,10 +30,13 @@ struct TrainConfig {
   /// Loss::ComputeBatch; gradients then flow through BackwardBatch + a
   /// batched sparse optimizer apply driven from the GradAccumulator,
   /// keeping the paper's one-optimizer-step-per-pair dynamics (scores are
-  /// the sub-batch's, so they are stale by at most one batch — the same
-  /// asynchrony Hogwild already tolerates). `false` pins the legacy
-  /// pair-at-a-time path: per-pair scalar Score/Backward, which with
-  /// num_threads == 1 is bit-for-bit identical to RunEpochSerial().
+  /// the block's, so they are stale by at most fused_block pairs).
+  /// `false` selects the paper-exact pair loop: each negative is sampled
+  /// against the live model and scored with per-pair scalar
+  /// Score/Backward, bit-for-bit the same for every batch_size. The
+  /// paper-figure benches pin it because RR and NZL are defined on it.
+  /// It runs on one thread only: the Trainer CHECK-fails on
+  /// fused_scoring = false with num_threads != 1.
   bool fused_scoring = true;
   /// Pairs scored ahead per fused block. Each block of a worker's
   /// sub-range is scored (and its loss differentiated) in one batched
@@ -45,12 +48,6 @@ struct TrainConfig {
   /// logistic family at high lr × large batch). <= 0 means the whole
   /// sub-range is one block.
   int fused_block = 32;
-  /// Force the serial per-batch sampling pre-pass even for samplers whose
-  /// thread_safe_sampling() trait would let workers draw negatives inline.
-  /// Benchmarking/debugging knob: bench_throughput's "serial refresh" rows
-  /// measure exactly the cost this removes for NSCaching. No effect with
-  /// num_threads == 1.
-  bool force_serial_sampling = false;
   /// Project entity rows onto the scorer's norm constraint after updates.
   bool apply_entity_constraints = true;
   /// Track per-pair gradient l2 norms (Figure 10); small overhead.

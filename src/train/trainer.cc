@@ -30,13 +30,16 @@ Trainer::Trainer(KgeModel* model, const TripleStore* train_set,
   order_.resize(train_set->size());
   std::iota(order_.begin(), order_.end(), size_t{0});
 
+  CHECK(config.fused_scoring || config.num_threads == 1)
+      << "the pair loop (fused_scoring = false) runs on one thread; got "
+         "num_threads = "
+      << config.num_threads;
   num_threads_ =
       config.num_threads <= 0 ? DefaultThreadCount() : config.num_threads;
   workers_.resize(static_cast<size_t>(num_threads_));
   // Worker streams come from a seeder distinct from rng_, so the main
-  // stream (shuffle + stateful sampling) is identical for every thread
-  // count — the 1-thread engine stays bit-for-bit equal to the serial
-  // reference no matter what num_threads was configured elsewhere.
+  // stream (shuffle + serial sampling) is identical for every thread
+  // count.
   Rng stream_seeder(config.seed ^ 0x517cc1b727220a95ULL);
   for (WorkerState& ws : workers_) {
     ws.entity_grads.Configure(model->entity_table().width());
@@ -135,30 +138,17 @@ double Trainer::ApplyPairUpdate(const Triple& pos, WorkerState* ws) {
   return grad_norm;
 }
 
-void Trainer::RunBatchSerial(size_t lo, size_t hi) {
-  const size_t b = hi - lo;
-  if (sampler_->stateless_sampling()) {
-    // A stateless sampler's draws depend only on the RNG stream, so
-    // pre-sampling the batch consumes rng_ exactly as the interleaved
-    // loop would and yields identical negatives.
-    pos_batch_.resize(b);
-    negs_.resize(b);
-    for (size_t i = 0; i < b; ++i) {
-      pos_batch_[i] = (*train_set_)[order_[lo + i]];
-    }
-    sampler_->SampleBatch(pos_batch_.data(), b, &rng_, negs_.data());
-    for (size_t i = 0; i < b; ++i) {
-      TrainSerialPair(pos_batch_[i], negs_[i]);
-    }
-  } else {
-    // Model-coupled samplers (NSCaching scores candidates against rows
-    // the previous pair just updated) must stay interleaved to preserve
-    // the serial semantics.
-    for (size_t i = lo; i < hi; ++i) {
-      const Triple& pos = (*train_set_)[order_[i]];
-      const NegativeSample neg = sampler_->Sample(pos, &rng_);
-      TrainSerialPair(pos, neg);
-    }
+void Trainer::RunBatchPairLoop(size_t lo, size_t hi) {
+  // Each negative is drawn against the rows the previous pair's update
+  // left (NSCaching scores its candidates on the live model), and
+  // Feedback follows its own pair (KBGAN's queue stays one deep).
+  for (size_t i = lo; i < hi; ++i) {
+    const Triple& pos = (*train_set_)[order_[i]];
+    const NegativeSample neg = sampler_->Sample(pos, &rng_);
+    const PairOutcome out = TrainPairStep(pos, neg, &workers_[0]);
+    sampler_->Feedback(pos, neg, out.neg_score);
+    Accumulate(out);
+    if (observer_) observer_(pos, neg, out.loss);
   }
 }
 
@@ -178,35 +168,6 @@ void Trainer::DrainBatchOutcomes(size_t b) {
     Accumulate(outcomes_[i]);
     if (observer_) observer_(pos_batch_[i], negs_[i], outcomes_[i].loss);
   }
-}
-
-void Trainer::RunBatchParallel(size_t lo, size_t hi) {
-  const size_t b = hi - lo;
-  GatherBatch(lo, hi);
-  if (sampler_->thread_safe_sampling() && !config_.force_serial_sampling) {
-    // Full Hogwild: workers sample their own pairs from per-worker
-    // streams and race on the shared tables (sparse updates rarely
-    // collide, so the lost-update rate is negligible — the standard
-    // asynchronous-SGD argument). Thread-safe stateful samplers
-    // (NSCaching) run their select/refresh inside the workers too — the
-    // cache refresh is the paper's dominant cost, so this is where the
-    // sampler itself finally scales with cores.
-    pool_->ParallelFor(0, b, [this](size_t i, int w) {
-      WorkerState& ws = workers_[w];
-      negs_[i] = sampler_->Sample(pos_batch_[i], &ws.rng);
-      outcomes_[i] = TrainPairStep(pos_batch_[i], negs_[i], &ws);
-    });
-  } else {
-    // Thread-hostile samplers (KBGAN's generator state): draw the whole
-    // batch serially against the pre-batch parameters, then train in
-    // parallel.
-    sampler_->SampleBatch(pos_batch_.data(), b, &rng_, negs_.data());
-    pool_->ParallelFor(0, b, [this](size_t i, int w) {
-      outcomes_[i] = TrainPairStep(pos_batch_[i], negs_[i], &workers_[w]);
-    });
-  }
-  // Feedback and observer run serially, in pair order, after the barrier.
-  DrainBatchOutcomes(b);
 }
 
 void Trainer::FusedSubStep(size_t lo, size_t hi, WorkerState* ws) {
@@ -351,12 +312,16 @@ void Trainer::RunBatchFusedSerial(size_t lo, size_t hi) {
 void Trainer::RunBatchFusedParallel(size_t lo, size_t hi) {
   const size_t b = hi - lo;
   GatherBatch(lo, hi);
-  // One contiguous sub-range per worker; sub-steps race on the shared
-  // tables across workers exactly as the pair path races across pairs.
+  // One contiguous sub-range per worker; sub-steps race lock-free on
+  // the shared tables across workers (Hogwild: sparse updates rarely
+  // collide, so the lost-update rate is negligible).
   const size_t chunks =
       std::min(b, static_cast<size_t>(num_threads_ > 0 ? num_threads_ : 1));
   const auto chunk_lo = [b, chunks](size_t c) { return c * b / chunks; };
-  if (sampler_->thread_safe_sampling() && !config_.force_serial_sampling) {
+  if (sampler_->thread_safe_sampling()) {
+    // Thread-safe samplers (stateless ones, and NSCaching with its
+    // sharded cache) draw inside the workers from per-worker streams, so
+    // the cache refresh scales with cores too.
     pool_->ParallelFor(0, chunks, [this, &chunk_lo](size_t c, int w) {
       WorkerState& ws = workers_[w];
       const size_t clo = chunk_lo(c), chi = chunk_lo(c + 1);
@@ -366,6 +331,9 @@ void Trainer::RunBatchFusedParallel(size_t lo, size_t hi) {
       FusedSubStep(clo, chi, &ws);
     });
   } else {
+    // Thread-hostile samplers (KBGAN's generator state): draw the whole
+    // batch serially against the pre-batch parameters, then train in
+    // parallel.
     sampler_->SampleBatch(pos_batch_.data(), b, &rng_, negs_.data());
     pool_->ParallelFor(0, chunks, [this, &chunk_lo](size_t c, int w) {
       FusedSubStep(chunk_lo(c), chunk_lo(c + 1), &workers_[w]);
@@ -420,38 +388,15 @@ EpochStats Trainer::RunEpoch() {
       config_.batch_size > 0 ? static_cast<size_t>(config_.batch_size) : n;
   for (size_t lo = 0; lo < n; lo += batch) {
     const size_t hi = std::min(n, lo + batch);
-    if (config_.fused_scoring) {
-      if (num_threads_ > 1) {
-        RunBatchFusedParallel(lo, hi);
-      } else {
-        RunBatchFusedSerial(lo, hi);
-      }
+    if (!config_.fused_scoring) {
+      RunBatchPairLoop(lo, hi);
     } else if (num_threads_ > 1) {
-      RunBatchParallel(lo, hi);
+      RunBatchFusedParallel(lo, hi);
     } else {
-      RunBatchSerial(lo, hi);
+      RunBatchFusedSerial(lo, hi);
     }
     StepCompleted();
   }
-  return FinishEpoch(watch);
-}
-
-EpochStats Trainer::RunEpochSerial() {
-  Stopwatch watch;
-  sampler_->BeginEpoch(epoch_);
-  rng_.Shuffle(&order_);
-  loss_sum_ = 0.0;
-  grad_norm_sum_ = 0.0;
-  nonzero_ = 0;
-
-  for (size_t i = 0; i < order_.size(); ++i) {
-    const Triple& pos = (*train_set_)[order_[i]];
-    const NegativeSample neg = sampler_->Sample(pos, &rng_);
-    TrainSerialPair(pos, neg);
-  }
-  // The serial reference loop has no mini-batch boundaries; the whole
-  // epoch counts as one step.
-  StepCompleted();
   return FinishEpoch(watch);
 }
 

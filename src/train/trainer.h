@@ -6,32 +6,35 @@
 // and the fixed baselines meet the identical surrounding machinery, so
 // measured differences are attributable to the sampler alone.
 //
-// Execution engine: RunEpoch() walks the epoch in mini-batches of
-// TrainConfig::batch_size and, with TrainConfig::num_threads > 1, trains
-// each batch Hogwild-style — lock-free asynchronous SGD over the shared
-// embedding tables — on a ThreadPool with per-worker RNG streams and
-// per-worker gradient scratch. With num_threads == 1 the engine performs
-// exactly the operation sequence of the legacy serial loop (retained as
-// RunEpochSerial()), bit-for-bit, so convergence results remain
-// comparable across PRs.
-//
-// Hot path: with TrainConfig::fused_scoring (the default) each worker's
-// share of a mini-batch runs as a FUSED step — positives and negatives
-// are each scored in a single ScoringFunction::ScoreBatch call through
-// the runtime-dispatched SIMD kernels (util/simd.h) and the loss batch
-// is differentiated in one Loss::ComputeBatch; the update pass then
-// walks the pairs driving BackwardBatch + a batched sparse optimizer
-// apply (Optimizer::ApplyBatch) through the per-worker GradAccumulator,
-// keeping the paper's one-optimizer-step-per-pair dynamics. Scores are
-// computed against the parameters as the previous fusion block left
-// them, so they are stale by at most TrainConfig::fused_block pairs —
-// the same kind of asynchrony the Hogwild engine already tolerates
-// across workers.
-// fused_scoring = false pins the legacy pair-at-a-time loop: per-pair
-// scalar Score/Backward, which with num_threads == 1 stays bit-for-bit
-// identical to RunEpochSerial() independent of the SIMD dispatch path.
-// The two paths coincide exactly at batch_size == 1 on the forced-scalar
-// path (pinned ULP-bounded by trainer_parallel_test).
+// RunEpoch() walks the epoch in mini-batches of TrainConfig::batch_size
+// (<= 0: the whole epoch is one batch) and trains each batch on one of
+// three engines, chosen from the config:
+//   - fused serial (fused_scoring, num_threads == 1, the default): the
+//     batch is sampled up front, then each fusion block of at most
+//     TrainConfig::fused_block pairs is scored in two
+//     ScoringFunction::ScoreBatch calls through the runtime-dispatched
+//     SIMD kernels (util/simd.h) and differentiated in one
+//     Loss::ComputeBatch; the update pass then walks the pairs driving
+//     BackwardBatch + a batched sparse optimizer apply
+//     (Optimizer::ApplyBatch) through the GradAccumulator, keeping the
+//     paper's one-optimizer-step-per-pair dynamics. Scores are stale by at
+//     most fused_block pairs. Deterministic for a fixed seed.
+//   - fused Hogwild (fused_scoring, num_threads > 1): each batch is split
+//     into one contiguous sub-range per worker of a ThreadPool; workers
+//     sample their sub-range from per-worker RNG streams (a serial
+//     pre-pass for samplers whose thread_safe_sampling() is false) and
+//     run the fused step on it, racing lock-free on the shared embedding
+//     tables. Runs are nondeterministic; the sampling streams stay
+//     seeded.
+//   - the pair loop (fused_scoring = false, num_threads == 1): the
+//     paper's Algorithm 1/2 step by step — each negative is drawn against
+//     the model the previous pair's update left, then the pair is scored
+//     and differentiated with per-pair scalar Score/Backward. Bit-for-bit
+//     identical for every batch_size; the paper-figure benches and the
+//     convergence goldens pin it.
+//     The constructor CHECK-rejects it with num_threads != 1.
+// The pair loop and fused serial coincide at batch_size == 1 on the
+// forced-scalar path (pinned ULP-bounded by trainer_parallel_test).
 #ifndef NSCACHING_TRAIN_TRAINER_H_
 #define NSCACHING_TRAIN_TRAINER_H_
 
@@ -81,33 +84,23 @@ class Trainer {
  public:
   /// All pointers are borrowed and must outlive the trainer. The loss is
   /// chosen from the scorer's family (margin for translational with
-  /// config.margin, logistic for semantic matching).
+  /// config.margin, logistic for semantic matching). CHECK-fails when
+  /// config.fused_scoring is false and config.num_threads is not 1: the
+  /// pair loop runs on one thread only.
   Trainer(KgeModel* model, const TripleStore* train_set,
           NegativeSampler* sampler, const TrainConfig& config);
 
-  /// Runs one full pass over the (shuffled) training set through the
-  /// batched engine (config.batch_size, config.num_threads,
-  /// config.fused_scoring). With fused_scoring = false and one thread
-  /// this reproduces RunEpochSerial() bit-for-bit; with fused_scoring on
-  /// each worker sub-range runs the fused ScoreBatch→ComputeBatch→
-  /// BackwardBatch step; with more threads, each mini-batch is trained
-  /// Hogwild-style (results are run-to-run nondeterministic but the
-  /// sampling streams stay seeded).
+  /// Runs one full pass over the (shuffled) training set on the engine
+  /// the config selects (see the file comment): the pair loop when
+  /// fused_scoring is false, else fused serial at one thread and fused
+  /// Hogwild at more.
   EpochStats RunEpoch();
-
-  /// The legacy pair-at-a-time reference loop (no batching, no threads,
-  /// never fused — fused_scoring is ignored here). Kept as the semantic
-  /// baseline for parity tests and the serial baseline of
-  /// bench_throughput; uses the same RNG stream as RunEpoch() with
-  /// num_threads == 1.
-  EpochStats RunEpochSerial();
 
   /// Epochs completed so far.
   int epoch() const { return epoch_; }
 
   /// Mini-batches completed so far across all epochs — the step stamped
-  /// onto published snapshots (RunEpochSerial counts its whole epoch as
-  /// one step: it has no mini-batch boundaries).
+  /// onto published snapshots.
   int64_t global_step() const { return global_step_; }
 
   /// Routes serving snapshots (and, through them, async checkpoints)
@@ -178,7 +171,7 @@ class Trainer {
   /// One gradient step on a (positive, negative) pair: scores, loss
   /// gradient, sparse backward into ws's accumulator, optimizer update,
   /// norm projection. Does NOT call sampler Feedback or the observer —
-  /// the epoch loops do, serially, preserving the legacy call order.
+  /// RunBatchPairLoop does, right after the step.
   PairOutcome TrainPairStep(const Triple& pos, const NegativeSample& neg,
                             WorkerState* ws);
 
@@ -189,30 +182,11 @@ class Trainer {
   /// the parity-critical ordering lives in exactly one place.
   double ApplyPairUpdate(const Triple& pos, WorkerState* ws);
 
-  /// The full serial treatment of one pair — step, Feedback, totals,
-  /// observer, in the legacy order. All serial code paths share this so
-  /// the bit-for-bit parity contract lives in exactly one place.
-  void TrainSerialPair(const Triple& pos, const NegativeSample& neg) {
-    const PairOutcome out = TrainPairStep(pos, neg, &workers_[0]);
-    sampler_->Feedback(pos, neg, out.neg_score);
-    Accumulate(out);
-    if (observer_) observer_(pos, neg, out.loss);
-  }
-
-  /// Serial mini-batch pass (num_threads == 1), bit-for-bit equal to the
-  /// legacy loop: stateless samplers are pre-sampled per batch (their
-  /// draws depend only on the RNG stream, so the interleaving is
-  /// immaterial); stateful samplers stay interleaved pair-by-pair.
-  void RunBatchSerial(size_t lo, size_t hi);
-
-  /// Hogwild mini-batch pass (num_threads > 1): samplers whose
-  /// thread_safe_sampling() trait allows it (stateless ones, and
-  /// NSCaching with its sharded cache) are drawn inside the workers from
-  /// per-worker RNG streams — select, corrupt AND cache refresh all
-  /// parallel; the rest (KBGAN) are drawn serially up front, then only
-  /// the gradient work fans out. Feedback and the observer run serially
-  /// after the barrier.
-  void RunBatchParallel(size_t lo, size_t hi);
+  /// The pair loop over one mini-batch (fused_scoring = false, one
+  /// thread): per positive, Sample against the live model, TrainPairStep,
+  /// then Feedback, totals and the observer — the paper's Algorithm 1/2
+  /// order, so every batch_size trains bit-for-bit identically.
+  void RunBatchPairLoop(size_t lo, size_t hi);
 
   /// Fused mini-batch pass, one thread: pre-sample the batch, then one
   /// fused sub-step over the whole batch.
@@ -221,9 +195,9 @@ class Trainer {
   /// Fused mini-batch pass, Hogwild: the batch is partitioned into
   /// num_threads contiguous sub-ranges; each worker samples its sub-range
   /// (per-worker RNG, when the sampler's trait allows — else a serial
-  /// pre-pass) and runs one fused sub-step on it. Workers race on the
-  /// shared tables across sub-steps exactly as the pair path races across
-  /// pairs. Feedback and the observer run serially after the barrier.
+  /// pre-pass) and runs one fused sub-step on it. Workers race lock-free
+  /// on the shared tables across sub-steps (Hogwild). Feedback and the
+  /// observer run serially after the barrier.
   void RunBatchFusedParallel(size_t lo, size_t hi);
 
   /// The fused training step over batch-local pairs [lo, hi) of
@@ -245,9 +219,8 @@ class Trainer {
   /// for one mini-batch [lo, hi) of the epoch.
   void GatherBatch(size_t lo, size_t hi);
 
-  /// The serial, in-pair-order epilogue every batch engine must run:
-  /// sampler Feedback, epoch totals, the analysis observer — the parity-
-  /// critical accounting contract, in exactly one place.
+  /// The serial, in-pair-order epilogue both fused engines run after
+  /// their batch: sampler Feedback, epoch totals, the analysis observer.
   void DrainBatchOutcomes(size_t b);
 
   /// Closes out the epoch in flight: derives EpochStats from the running

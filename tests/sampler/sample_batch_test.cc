@@ -1,8 +1,10 @@
 // SampleBatch contract tests: the default batch draw must consume the RNG
-// exactly like sequential Sample() calls (the batched trainer's
-// bit-for-bit guarantee rides on this), and the stateless_sampling trait
-// must be set for exactly the samplers whose draws are model- and
-// state-free.
+// exactly like sequential Sample() calls (the fused engine pre-samples
+// each batch with it, so a stateless sampler draws the same negatives
+// there as in the trainer's pair loop), and the stateless_sampling trait
+// (which makes a sampler thread-safe by default, so fused Hogwild workers
+// draw from it directly) must be set for exactly the samplers whose
+// draws are model- and state-free.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -96,7 +98,7 @@ TEST(SampleBatchTest, StatelessTraitCoversExactlyTheFixedSamplers) {
 
   EXPECT_TRUE(uniform.stateless_sampling());
   EXPECT_TRUE(bernoulli.stateless_sampling());
-  // Model-coupled samplers must not be pre-sampled or called concurrently.
+  // Model-coupled samplers: their draws depend on more than the RNG.
   EXPECT_FALSE(nscaching.stateless_sampling());
   EXPECT_FALSE(kbgan.stateless_sampling());
 }

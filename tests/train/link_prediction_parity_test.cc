@@ -1,8 +1,9 @@
-// Pins the batched 1-vs-all evaluator to the legacy per-candidate
-// reference: identical ranks (hence bit-identical MRR/MR/Hits@k) across
-// every registered scorer, filtered and raw settings, padded and compact
-// table layouts, serial and threaded evaluation, both tie policies, and
-// both SIMD dispatch paths. Also pins the ScoreAllHeads/ScoreAllTails
+// Pins the batched 1-vs-all evaluator to the per-candidate reference in
+// link_prediction_oracle.h: identical ranks (hence bit-identical
+// MRR/MR/Hits@k) across every registered scorer, filtered and raw
+// settings, padded and compact table layouts, serial and threaded
+// evaluation, both tie policies, and both SIMD dispatch paths. Also pins
+// the ScoreAllHeads/ScoreAllTails
 // sweep itself against per-candidate Score() — exact under forced
 // scalar, reduction-order-tolerant under the native path.
 #include "train/link_prediction.h"
@@ -16,6 +17,7 @@
 #include "embedding/scoring_function.h"
 #include "kg/kg_index.h"
 #include "kg/triple_store.h"
+#include "link_prediction_oracle.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -56,13 +58,13 @@ TripleStore MakeEvalStore(const TripleStore& train) {
   return eval;
 }
 
-void ExpectMetricsIdentical(const RankingMetrics& batched,
-                            const RankingMetrics& legacy) {
-  EXPECT_EQ(batched.count(), legacy.count());
-  EXPECT_EQ(batched.mrr(), legacy.mrr());
-  EXPECT_EQ(batched.mr(), legacy.mr());
+void ExpectMetricsIdentical(const RankingMetrics& got,
+                            const RankingMetrics& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mrr(), want.mrr());
+  EXPECT_EQ(got.mr(), want.mr());
   for (int k : {1, 3, 10}) {
-    EXPECT_EQ(batched.hits_at(k), legacy.hits_at(k)) << "k=" << k;
+    EXPECT_EQ(got.hits_at(k), want.hits_at(k)) << "k=" << k;
   }
 }
 
@@ -74,7 +76,7 @@ std::vector<simd::Path> DispatchPaths() {
   return paths;
 }
 
-TEST(LinkPredictionParityTest, BatchedMatchesLegacyAcrossMatrix) {
+TEST(LinkPredictionParityTest, BatchedMatchesOracleAcrossMatrix) {
   const TripleStore train = MakeTrainStore();
   const TripleStore eval = MakeEvalStore(train);
   const KgIndex filter(train);
@@ -93,16 +95,13 @@ TEST(LinkPredictionParityTest, BatchedMatchesLegacyAcrossMatrix) {
                            (filtered ? "/filtered" : "/raw") +
                            (tie == TieBreak::kMean ? "/mean" : "/optimistic") +
                            "/t=" + std::to_string(threads));
-              LinkPredictionOptions legacy_opts;
-              legacy_opts.use_batched = false;
-              legacy_opts.filtered = filtered;
-              legacy_opts.tie_break = tie;
-              legacy_opts.num_threads = threads;
-              LinkPredictionOptions batched_opts = legacy_opts;
-              batched_opts.use_batched = true;
+              LinkPredictionOptions opts;
+              opts.filtered = filtered;
+              opts.tie_break = tie;
+              opts.num_threads = threads;
               ExpectMetricsIdentical(
-                  EvaluateLinkPrediction(model, eval, filter, batched_opts),
-                  EvaluateLinkPrediction(model, eval, filter, legacy_opts));
+                  EvaluateLinkPrediction(model, eval, filter, opts),
+                  oracle::EvaluateLinkPrediction(model, eval, filter, opts));
             }
           }
         }

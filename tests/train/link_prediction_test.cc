@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "embedding/scoring_function.h"
+#include "link_prediction_oracle.h"
 
 namespace nsc {
 namespace {
@@ -94,17 +95,15 @@ TEST(LinkPredictionTest, MaxTriplesSubsamples) {
   EXPECT_EQ(m.count(), 4u);  // 2 triples × 2 sides.
 }
 
-TEST(LinkPredictionTest, LegacyEvaluatorMatchesControlledRanks) {
-  // The pre-batched reference path must stay available and correct
-  // behind use_batched = false (same setup as
+TEST(LinkPredictionTest, OracleMatchesControlledRanks) {
+  // The per-candidate oracle the parity test pins the evaluator against
+  // must itself get the hand-computed ranks right (same setup as
   // RankCountsStrictlyGreaterScores).
   KgeModel model = MakeControlledModel({1.0f, 2.0f, 3.0f, 4.0f});
   TripleStore eval(4, 1);
   eval.Add({0, 0, 1});
   const KgIndex filter(eval);
-  LinkPredictionOptions opts;
-  opts.use_batched = false;
-  const RankingMetrics m = EvaluateLinkPrediction(model, eval, filter, opts);
+  const RankingMetrics m = oracle::EvaluateLinkPrediction(model, eval, filter);
   EXPECT_DOUBLE_EQ(m.mr(), 3.5);
 }
 
@@ -113,29 +112,31 @@ TEST(LinkPredictionTest, TieBreakOnConstantScorer) {
   // the true score: the optimistic convention reports a (degenerate)
   // perfect MRR of 1.0, while kMean counts each tie as half a rank.
   // Head side: 4 candidates (e != h), all tied -> rank 1 + 4/2 = 3; the
-  // tail side is symmetric. Both evaluators must agree in both modes.
+  // tail side is symmetric. The evaluator and the per-candidate oracle
+  // must agree in both modes.
   KgeModel model = MakeControlledModel({2.0f, 2.0f, 2.0f, 2.0f, 2.0f});
   TripleStore eval(5, 1);
   eval.Add({0, 0, 1});
   const KgIndex filter(eval);
-  for (bool batched : {true, false}) {
+  for (bool use_oracle : {false, true}) {
+    const auto evaluate = [&](const LinkPredictionOptions& opts) {
+      return use_oracle
+                 ? oracle::EvaluateLinkPrediction(model, eval, filter, opts)
+                 : EvaluateLinkPrediction(model, eval, filter, opts);
+    };
     LinkPredictionOptions optimistic;
-    optimistic.use_batched = batched;
     optimistic.tie_break = TieBreak::kOptimistic;
-    const RankingMetrics mo = EvaluateLinkPrediction(model, eval, filter,
-                                                     optimistic);
-    EXPECT_DOUBLE_EQ(mo.mrr(), 1.0) << "batched=" << batched;
-    EXPECT_DOUBLE_EQ(mo.mr(), 1.0) << "batched=" << batched;
+    const RankingMetrics mo = evaluate(optimistic);
+    EXPECT_DOUBLE_EQ(mo.mrr(), 1.0) << "oracle=" << use_oracle;
+    EXPECT_DOUBLE_EQ(mo.mr(), 1.0) << "oracle=" << use_oracle;
 
     LinkPredictionOptions mean;
-    mean.use_batched = batched;
     mean.tie_break = TieBreak::kMean;
-    const RankingMetrics mm = EvaluateLinkPrediction(model, eval, filter,
-                                                     mean);
-    EXPECT_DOUBLE_EQ(mm.mr(), 3.0) << "batched=" << batched;
-    EXPECT_DOUBLE_EQ(mm.mrr(), 1.0 / 3.0) << "batched=" << batched;
-    EXPECT_DOUBLE_EQ(mm.hits_at(3), 100.0) << "batched=" << batched;
-    EXPECT_DOUBLE_EQ(mm.hits_at(2), 0.0) << "batched=" << batched;
+    const RankingMetrics mm = evaluate(mean);
+    EXPECT_DOUBLE_EQ(mm.mr(), 3.0) << "oracle=" << use_oracle;
+    EXPECT_DOUBLE_EQ(mm.mrr(), 1.0 / 3.0) << "oracle=" << use_oracle;
+    EXPECT_DOUBLE_EQ(mm.hits_at(3), 100.0) << "oracle=" << use_oracle;
+    EXPECT_DOUBLE_EQ(mm.hits_at(2), 0.0) << "oracle=" << use_oracle;
   }
 }
 

@@ -1,17 +1,19 @@
-// Batched-engine parity and parallel-execution tests.
+// Engine parity and parallel-execution tests.
 //
 // Contracts under test:
-//   * RunEpoch() with num_threads == 1 and fused_scoring = false
-//     reproduces the legacy serial loop (RunEpochSerial) bit-for-bit —
-//     same losses, same embedding tables — for both stateless (Bernoulli)
-//     and model-coupled (NSCaching) samplers and any batch size;
+//   * the pair loop (fused_scoring = false, one thread) trains
+//     bit-for-bit identically at every batch size — same losses, same
+//     embedding tables — for stateless (Bernoulli), model-coupled
+//     (NSCaching) and feedback-driven (KBGAN) samplers; batch_size = 0
+//     (the whole epoch as one batch) is the reference;
 //   * the fused engine (fused_scoring = true) coincides with the pair
-//     path at batch_size == 1 on the forced-scalar dispatch path
+//     loop at batch_size == 1 on the forced-scalar dispatch path
 //     (ULP-bounded), and still trains at real batch sizes and under
 //     Hogwild threads;
-//   * with num_threads > 1 both engines keep training (loss decreases,
-//     observer sees every pair) even though float races make runs
-//     nondeterministic.
+//   * with num_threads > 1 the fused engine keeps training (loss
+//     decreases, the observer and the cache stats see every pair) even
+//     though float races make runs nondeterministic;
+//   * the pair loop refuses more than one thread.
 #include "train/trainer.h"
 
 #include <gtest/gtest.h>
@@ -51,8 +53,8 @@ TrainConfig SmallTrainConfig() {
   c.epochs = 5;
   c.margin = 2.0;
   c.seed = 3;
-  // The bit-for-bit parity contract is the legacy pair path's; fused
-  // cases opt back in explicitly.
+  // The bit-for-bit parity contract is the pair loop's; fused cases opt
+  // back in explicitly.
   c.fused_scoring = false;
   return c;
 }
@@ -77,11 +79,11 @@ struct RunResult {
   std::vector<float> relations;
 };
 
-// Runs `epochs` epochs with a fresh model/sampler; `serial` picks the
-// legacy reference loop over the batched engine.
+// Runs `epochs` epochs with a fresh model/sampler.
 RunResult RunTraining(const Dataset& data, const KgIndex& index,
-              const std::string& scorer, const std::string& sampler_name,
-              TrainConfig config, int epochs, bool serial) {
+                      const std::string& scorer,
+                      const std::string& sampler_name, TrainConfig config,
+                      int epochs) {
   KgeModel model(data.num_entities(), data.num_relations(), config.dim,
                  MakeScoringFunction(scorer));
   Rng rng(1);
@@ -107,13 +109,18 @@ RunResult RunTraining(const Dataset& data, const KgIndex& index,
   Trainer trainer(&model, &data.train, sampler.get(), config);
   RunResult result;
   for (int e = 0; e < epochs; ++e) {
-    const EpochStats stats =
-        serial ? trainer.RunEpochSerial() : trainer.RunEpoch();
-    result.losses.push_back(stats.mean_loss);
+    result.losses.push_back(trainer.RunEpoch().mean_loss);
   }
   result.entities = model.entity_table().LogicalCopy();
   result.relations = model.relation_table().LogicalCopy();
   return result;
+}
+
+// The whole epoch as one batch (batch_size = 0): one engine step per
+// epoch, the reference every batched pair-loop run must equal.
+TrainConfig WholeEpochBatch(TrainConfig config) {
+  config.batch_size = 0;
+  return config;
 }
 
 TEST(TrainerParityTest, BatchedOneThreadMatchesSerialForStatelessSampler) {
@@ -122,45 +129,46 @@ TEST(TrainerParityTest, BatchedOneThreadMatchesSerialForStatelessSampler) {
   TrainConfig config = SmallTrainConfig();
   config.batch_size = 32;
   config.num_threads = 1;
-  const RunResult serial =
-      RunTraining(data, index, "transe", "bernoulli", config, 3, /*serial=*/true);
+  const RunResult serial = RunTraining(data, index, "transe", "bernoulli",
+                                       WholeEpochBatch(config), 3);
   const RunResult batched =
-      RunTraining(data, index, "transe", "bernoulli", config, 3, /*serial=*/false);
+      RunTraining(data, index, "transe", "bernoulli", config, 3);
   EXPECT_EQ(serial.losses, batched.losses);
   EXPECT_EQ(serial.entities, batched.entities);
   EXPECT_EQ(serial.relations, batched.relations);
 }
 
 TEST(TrainerParityTest, BatchedOneThreadMatchesSerialForNSCaching) {
-  // NSCaching samples against the live model, so the engine must keep the
-  // sample/update interleaving; this pins that behaviour bit-for-bit.
+  // NSCaching samples against the live model, so the pair loop must keep
+  // the sample/update interleaving across batch boundaries; this pins
+  // that behaviour bit-for-bit.
   const Dataset data = SmallDataset();
   const KgIndex index(data.train);
   TrainConfig config = SmallTrainConfig();
   config.batch_size = 64;
   config.num_threads = 1;
-  const RunResult serial =
-      RunTraining(data, index, "transe", "nscaching", config, 2, /*serial=*/true);
+  const RunResult serial = RunTraining(data, index, "transe", "nscaching",
+                                       WholeEpochBatch(config), 2);
   const RunResult batched =
-      RunTraining(data, index, "transe", "nscaching", config, 2, /*serial=*/false);
+      RunTraining(data, index, "transe", "nscaching", config, 2);
   EXPECT_EQ(serial.losses, batched.losses);
   EXPECT_EQ(serial.entities, batched.entities);
   EXPECT_EQ(serial.relations, batched.relations);
 }
 
 TEST(TrainerParityTest, BatchedOneThreadMatchesSerialForKbgan) {
-  // KBGAN's Sample/Feedback state is a FIFO queue; the 1-thread engine
-  // interleaves per pair (queue depth 1), which must equal the legacy
-  // loop exactly — including the generator's REINFORCE updates.
+  // KBGAN's Sample/Feedback state is a FIFO queue; the pair loop
+  // interleaves per pair (queue depth 1) at every batch size, including
+  // the generator's REINFORCE updates.
   const Dataset data = SmallDataset();
   const KgIndex index(data.train);
   TrainConfig config = SmallTrainConfig();
   config.batch_size = 64;
   config.num_threads = 1;
-  const RunResult serial =
-      RunTraining(data, index, "transe", "kbgan", config, 2, /*serial=*/true);
+  const RunResult serial = RunTraining(data, index, "transe", "kbgan",
+                                       WholeEpochBatch(config), 2);
   const RunResult batched =
-      RunTraining(data, index, "transe", "kbgan", config, 2, /*serial=*/false);
+      RunTraining(data, index, "transe", "kbgan", config, 2);
   EXPECT_EQ(serial.losses, batched.losses);
   EXPECT_EQ(serial.entities, batched.entities);
   EXPECT_EQ(serial.relations, batched.relations);
@@ -173,10 +181,8 @@ TEST(TrainerParityTest, BatchSizeDoesNotChangeOneThreadResults) {
   small.batch_size = 1;
   TrainConfig large = SmallTrainConfig();
   large.batch_size = 512;
-  const RunResult a =
-      RunTraining(data, index, "complex", "bernoulli", small, 2, /*serial=*/false);
-  const RunResult b =
-      RunTraining(data, index, "complex", "bernoulli", large, 2, /*serial=*/false);
+  const RunResult a = RunTraining(data, index, "complex", "bernoulli", small, 2);
+  const RunResult b = RunTraining(data, index, "complex", "bernoulli", large, 2);
   EXPECT_EQ(a.losses, b.losses);
   EXPECT_EQ(a.entities, b.entities);
 }
@@ -189,12 +195,24 @@ TEST(TrainerParityTest, SemanticFamilyParityWithL2) {
   config.batch_size = 32;
   config.l2_lambda = 0.01;
   config.track_grad_norm = true;
-  const RunResult serial =
-      RunTraining(data, index, "complex", "bernoulli", config, 2, /*serial=*/true);
+  const RunResult serial = RunTraining(data, index, "complex", "bernoulli",
+                                       WholeEpochBatch(config), 2);
   const RunResult batched =
-      RunTraining(data, index, "complex", "bernoulli", config, 2, /*serial=*/false);
+      RunTraining(data, index, "complex", "bernoulli", config, 2);
   EXPECT_EQ(serial.losses, batched.losses);
   EXPECT_EQ(serial.entities, batched.entities);
+}
+
+TEST(TrainerDeathTest, PairLoopRejectsThreads) {
+  const Dataset data = SmallDataset();
+  KgeModel model(data.num_entities(), data.num_relations(), 12,
+                 MakeScoringFunction("transe"));
+  UniformSampler sampler(data.num_entities());
+  TrainConfig config = SmallTrainConfig();
+  config.fused_scoring = false;
+  config.num_threads = 3;
+  EXPECT_DEATH({ Trainer trainer(&model, &data.train, &sampler, config); },
+               "pair loop");
 }
 
 // ---- Fused-engine tests --------------------------------------------------
@@ -218,11 +236,9 @@ TEST(TrainerFusedTest, FusedMatchesPairPathAtBatchOneUlpBounded) {
     TrainConfig fused_config = config;
     fused_config.fused_scoring = true;
     const RunResult pair =
-        RunTraining(data, index, scorer, "bernoulli", config, 3,
-                    /*serial=*/false);
+        RunTraining(data, index, scorer, "bernoulli", config, 3);
     const RunResult fused =
-        RunTraining(data, index, scorer, "bernoulli", fused_config, 3,
-                    /*serial=*/false);
+        RunTraining(data, index, scorer, "bernoulli", fused_config, 3);
     ASSERT_EQ(pair.losses.size(), fused.losses.size());
     for (size_t e = 0; e < pair.losses.size(); ++e) {
       EXPECT_NEAR(fused.losses[e], pair.losses[e],
@@ -253,8 +269,7 @@ TEST(TrainerFusedTest, FusedTrainsToLowerLossAtRealBatchSizes) {
     config.num_threads = 1;
     config.fused_scoring = true;
     const RunResult fused =
-        RunTraining(data, index, "transe", sampler, config, 5,
-                    /*serial=*/false);
+        RunTraining(data, index, "transe", sampler, config, 5);
     EXPECT_LT(fused.losses.back(), fused.losses.front());
   }
 }
@@ -271,9 +286,9 @@ TEST(TrainerFusedTest, FusedTracksPairPathConvergence) {
   TrainConfig fused_config = config;
   fused_config.fused_scoring = true;
   const RunResult pair = RunTraining(data, index, "transe", "bernoulli",
-                                     config, 5, /*serial=*/false);
+                                     config, 5);
   const RunResult fused = RunTraining(data, index, "transe", "bernoulli",
-                                      fused_config, 5, /*serial=*/false);
+                                      fused_config, 5);
   EXPECT_NEAR(fused.losses.back(), pair.losses.back(),
               0.05 + 0.2 * pair.losses.back());
   EXPECT_LT(fused.losses.back(), 0.5 * fused.losses.front());
@@ -289,52 +304,23 @@ TEST(TrainerFusedTest, FusedHogwildTrainsWithThreadSafeSamplers) {
     config.num_threads = 4;
     config.fused_scoring = true;
     const RunResult fused =
-        RunTraining(data, index, "transe", sampler, config, 6,
-                    /*serial=*/false);
+        RunTraining(data, index, "transe", sampler, config, 6);
     EXPECT_LT(fused.losses.back(), fused.losses.front());
   }
 }
 
 TEST(TrainerFusedTest, FusedSerialSamplingFallbackTrains) {
-  // The fused parallel engine's serial pre-sampling branch: KBGAN is
-  // thread-hostile (its generator state forces the pre-pass), and
-  // force_serial_sampling pins even a thread-safe sampler onto it — the
-  // "serial refresh" fused rows of bench_throughput run exactly this
-  // path.
+  // The fused Hogwild engine's serial pre-sampling branch: KBGAN is
+  // thread-hostile, so its generator state forces the pre-pass.
   const Dataset data = SmallDataset();
   const KgIndex index(data.train);
-  {
-    TrainConfig config = SmallTrainConfig();
-    config.batch_size = 64;
-    config.num_threads = 3;
-    config.fused_scoring = true;
-    const RunResult kbgan = RunTraining(data, index, "transe", "kbgan",
-                                        config, 6, /*serial=*/false);
-    EXPECT_LT(kbgan.losses.back(), kbgan.losses.front());
-  }
-  {
-    KgeModel model(data.num_entities(), data.num_relations(), 12,
-                   MakeScoringFunction("transe"));
-    Rng rng(1);
-    model.InitXavier(&rng);
-    NSCachingConfig nsc_config;
-    nsc_config.n1 = 10;
-    nsc_config.n2 = 10;
-    NSCachingSampler sampler(&model, &index, nsc_config);
-    TrainConfig config = SmallTrainConfig();
-    config.batch_size = 64;
-    config.num_threads = 3;
-    config.fused_scoring = true;
-    config.force_serial_sampling = true;
-    Trainer trainer(&model, &data.train, &sampler, config);
-    const EpochStats first = trainer.RunEpoch();
-    EpochStats last = first;
-    for (int e = 1; e < 6; ++e) last = trainer.RunEpoch();
-    EXPECT_LT(last.mean_loss, first.mean_loss);
-    // The pre-pass still draws both cache sides for every positive.
-    EXPECT_EQ(sampler.stats().selections,
-              2 * static_cast<int64_t>(data.train.size()) * 6);
-  }
+  TrainConfig config = SmallTrainConfig();
+  config.batch_size = 64;
+  config.num_threads = 3;
+  config.fused_scoring = true;
+  const RunResult kbgan =
+      RunTraining(data, index, "transe", "kbgan", config, 6);
+  EXPECT_LT(kbgan.losses.back(), kbgan.losses.front());
 }
 
 TEST(TrainerFusedTest, FusedObserverAndAccountingSeeEveryPair) {
@@ -376,6 +362,7 @@ TEST(TrainerParallelTest, HogwildTrainsToLowerLoss) {
   TrainConfig config = SmallTrainConfig();
   config.batch_size = 64;
   config.num_threads = 4;
+  config.fused_scoring = true;
   Trainer trainer(&model, &data.train, &sampler, config);
   EXPECT_EQ(trainer.num_threads(), 4);
   const EpochStats first = trainer.RunEpoch();
@@ -383,27 +370,6 @@ TEST(TrainerParallelTest, HogwildTrainsToLowerLoss) {
   for (int e = 1; e < 8; ++e) last = trainer.RunEpoch();
   EXPECT_LT(last.mean_loss, first.mean_loss);
   EXPECT_EQ(trainer.epoch(), 8);
-}
-
-TEST(TrainerParallelTest, HogwildWithStatefulSamplerTrains) {
-  const Dataset data = SmallDataset();
-  const KgIndex index(data.train);
-  KgeModel model(data.num_entities(), data.num_relations(), 12,
-                 MakeScoringFunction("transe"));
-  Rng rng(1);
-  model.InitXavier(&rng);
-  NSCachingConfig nsc_config;
-  nsc_config.n1 = 10;
-  nsc_config.n2 = 10;
-  NSCachingSampler sampler(&model, &index, nsc_config);
-  TrainConfig config = SmallTrainConfig();
-  config.batch_size = 64;
-  config.num_threads = 3;
-  Trainer trainer(&model, &data.train, &sampler, config);
-  const EpochStats first = trainer.RunEpoch();
-  EpochStats last = first;
-  for (int e = 1; e < 8; ++e) last = trainer.RunEpoch();
-  EXPECT_LT(last.mean_loss, first.mean_loss);
 }
 
 TEST(TrainerParallelTest, HogwildNSCachingSamplesInsideWorkers) {
@@ -426,56 +392,12 @@ TEST(TrainerParallelTest, HogwildNSCachingSamplesInsideWorkers) {
   TrainConfig config = SmallTrainConfig();
   config.batch_size = 64;
   config.num_threads = 4;
+  config.fused_scoring = true;
   Trainer trainer(&model, &data.train, &sampler, config);
   trainer.RunEpoch();
   const int64_t n = static_cast<int64_t>(data.train.size());
   EXPECT_EQ(sampler.stats().selections, 2 * n);
   EXPECT_EQ(sampler.stats().updates, 2 * n);
-}
-
-TEST(TrainerParallelTest, ForceSerialSamplingStillTrains) {
-  // The benchmarking knob that pins sampling to the serial pre-pass must
-  // keep working under threads (it is the "serial refresh" baseline of
-  // bench_throughput's NSCaching mode).
-  const Dataset data = SmallDataset();
-  const KgIndex index(data.train);
-  KgeModel model(data.num_entities(), data.num_relations(), 12,
-                 MakeScoringFunction("transe"));
-  Rng rng(1);
-  model.InitXavier(&rng);
-  NSCachingConfig nsc_config;
-  nsc_config.n1 = 10;
-  nsc_config.n2 = 10;
-  NSCachingSampler sampler(&model, &index, nsc_config);
-  TrainConfig config = SmallTrainConfig();
-  config.batch_size = 64;
-  config.num_threads = 3;
-  config.force_serial_sampling = true;
-  Trainer trainer(&model, &data.train, &sampler, config);
-  const EpochStats first = trainer.RunEpoch();
-  EpochStats last = first;
-  for (int e = 1; e < 8; ++e) last = trainer.RunEpoch();
-  EXPECT_LT(last.mean_loss, first.mean_loss);
-  EXPECT_EQ(sampler.stats().selections,
-            2 * static_cast<int64_t>(data.train.size()) * 8);
-}
-
-TEST(TrainerParallelTest, ObserverSeesEveryPairSeriallyUnderThreads) {
-  const Dataset data = SmallDataset();
-  KgeModel model(data.num_entities(), data.num_relations(), 12,
-                 MakeScoringFunction("transe"));
-  Rng rng(1);
-  model.InitXavier(&rng);
-  UniformSampler sampler(data.num_entities());
-  TrainConfig config = SmallTrainConfig();
-  config.batch_size = 32;
-  config.num_threads = 4;
-  Trainer trainer(&model, &data.train, &sampler, config);
-  size_t observed = 0;
-  trainer.set_negative_observer(
-      [&](const Triple&, const NegativeSample&, double) { ++observed; });
-  trainer.RunEpoch();
-  EXPECT_EQ(observed, data.train.size());
 }
 
 TEST(TrainerParallelTest, HardwareDefaultThreadResolution) {
@@ -486,6 +408,7 @@ TEST(TrainerParallelTest, HardwareDefaultThreadResolution) {
   model.InitXavier(&rng);
   UniformSampler sampler(data.num_entities());
   TrainConfig config = SmallTrainConfig();
+  config.fused_scoring = true;
   config.num_threads = 0;  // <= 0 resolves to the hardware default.
   Trainer trainer(&model, &data.train, &sampler, config);
   EXPECT_GE(trainer.num_threads(), 1);

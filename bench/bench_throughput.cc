@@ -15,16 +15,6 @@
 // attributable to a kernel variant (NSC_FORCE_SCALAR=1 re-runs everything
 // on the scalar path).
 //
-// A shard-scaling bench (--shards=<list>) runs the three consumers the
-// sharded-table PR reroutes — fused Hogwild training, the batched
-// 1-vs-all evaluator and fused top-K retrieval — once per requested
-// entity shard count, on the same seed. Sharding is pure layout (every
-// row is cross-checked bit-identical by the invariance test suite), so
-// these rows isolate the *cost* of the per-shard slab walk and, with
-// -DNSC_NUMA=ON on a multi-socket machine, the benefit of node-local
-// placement. --json=<path> writes them as schema-stable JSON (suite
-// "shards"; BENCH_shards.json is a committed baseline).
-//
 // A top-K retrieval bench (--topk, ISSUE 6) A/Bs the fused sweep→top-K
 // kernels against the pre-fusion "sweep+scan" pattern (ScoreAllHeads
 // into an |E|-double buffer, then util TopK's iota + partial_sort) per
@@ -39,12 +29,10 @@
 // plus NSC_THREADS (max thread count to sweep, default 4).
 // Args: --sampler=bernoulli|nscaching|all (default all) and
 // --scorer=transe|distmult|complex|all (default all) filter the workload
-// and kernel lists; --topk runs the top-K retrieval A/B instead;
-// --shards=<list> runs the shard-scaling bench instead.
+// and kernel lists; --topk runs the top-K retrieval A/B instead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -54,7 +42,6 @@
 #include "embedding/initializer.h"
 #include "kg/kg_index.h"
 #include "sampler/bernoulli_sampler.h"
-#include "train/link_prediction.h"
 #include "train/trainer.h"
 #include "util/math.h"
 #include "util/simd.h"
@@ -212,28 +199,6 @@ bool RunKernelMicrobench(const std::string& scorer_filter, int dim,
   }
   std::printf("%s\n", table.Render().c_str());
   return any;
-}
-
-// ---- Evaluation timing -----------------------------------------------------
-
-// Ranked (triple, side) queries/sec of repeated full filtered evaluations
-// (one untimed warmup) for ~0.3s on one thread, so the number isolates
-// per-query evaluator cost rather than thread scaling.
-double MeasureEvalQps(const KgeModel& model, const TripleStore& test,
-                      const KgIndex& filter, size_t max_triples) {
-  LinkPredictionOptions opts;
-  opts.num_threads = 1;
-  opts.max_triples = max_triples;
-  const size_t limit =
-      max_triples == 0 ? test.size() : std::min(max_triples, test.size());
-  EvaluateLinkPrediction(model, test, filter, opts);
-  int reps = 0;
-  Stopwatch watch;
-  do {
-    EvaluateLinkPrediction(model, test, filter, opts);
-    ++reps;
-  } while (watch.Seconds() < 0.3);
-  return 2.0 * static_cast<double>(limit) * reps / watch.Seconds();
 }
 
 // ---- Top-K retrieval bench -------------------------------------------------
@@ -463,179 +428,6 @@ int RunTopKBench(const std::string& scorer_filter, const bench::Settings& s,
   return 0;
 }
 
-// ---- Shard-scaling bench ---------------------------------------------------
-
-struct ShardRunResult {
-  int target_shards = 0;
-  int num_shards = 0;        // Realized count (power-of-two row blocks).
-  double train_tps = 0.0;    // Fused Hogwild training triples/sec.
-  double eval_qps = 0.0;     // Batched 1-vs-all ranked queries/sec.
-  double topk_qps = 0.0;     // Fused top-K retrieval queries/sec.
-};
-
-// One shard count's measurement: same dataset, seed and hyper-parameters
-// for every row, so the only variable is the entity-table shard layout.
-ShardRunResult MeasureShardRun(const Dataset& data, const KgIndex& index,
-                               const KgIndex& filter,
-                               const std::string& scorer,
-                               const bench::Settings& s, int target_shards,
-                               int threads, int epochs) {
-  ShardOptions opts;
-  opts.target_shards = target_shards;
-  KgeModel model(data.num_entities(), data.num_relations(), s.dim,
-                 MakeScoringFunction(scorer), TableLayout::kPadded, opts);
-  Rng rng(s.seed);
-  model.InitXavier(&rng);
-
-  ShardRunResult result;
-  result.target_shards = target_shards;
-  result.num_shards = model.entity_table().num_shards();
-
-  // Training: the fused batched engine at `threads` Hogwild workers —
-  // the hot path whose row resolves and optimizer moment lookups now go
-  // through the shard shift/mask.
-  PipelineConfig config = bench::BasePipeline(scorer, SamplerKind::kBernoulli, s);
-  config.train.num_threads = threads;
-  config.train.fused_scoring = true;
-  BernoulliSampler sampler(data.num_entities(), &index);
-  Trainer trainer(&model, &data.train, &sampler, config.train);
-  trainer.RunEpoch();  // Warmup (first-touch faults on every shard).
-  double seconds = 0.0;
-  for (int e = 0; e < epochs; ++e) seconds += trainer.RunEpoch().seconds;
-  result.train_tps =
-      seconds > 0.0
-          ? static_cast<double>(data.train.size()) * epochs / seconds
-          : 0.0;
-
-  // Evaluation: one slab sweep per shard per query.
-  const size_t cap = std::min(
-      s.eval_cap == 0 ? data.test.size() : s.eval_cap, data.test.size());
-  result.eval_qps = MeasureEvalQps(model, data.test, filter, cap);
-
-  // Top-K: the fused tile collector crossing shard boundaries with a
-  // per-shard index base.
-  Rng qrng(s.seed + 1);
-  std::vector<std::pair<RelationId, EntityId>> queries(8);
-  for (auto& q : queries) {
-    q.first = static_cast<RelationId>(qrng.UniformInt(data.num_relations()));
-    q.second = static_cast<EntityId>(qrng.UniformInt(data.num_entities()));
-  }
-  std::vector<TopKEntry> got;
-  for (const auto& q : queries) model.TopKHeads(q.first, q.second, 10, &got);
-  int reps = 0;
-  Stopwatch watch;
-  do {
-    for (const auto& q : queries) model.TopKHeads(q.first, q.second, 10, &got);
-    ++reps;
-  } while (watch.Seconds() < 0.3);
-  result.topk_qps =
-      static_cast<double>(reps) * queries.size() / watch.Seconds();
-  return result;
-}
-
-// Emits the --shards runs as schema-stable JSON (suite "shards",
-// schema_version 1 — validated by tools/check_bench_json.py). Ratios are
-// vs the 1-shard row of the same artifact, the flat-slab baseline.
-bool WriteShardsJson(const std::string& path, const std::string& scorer,
-                     const std::vector<ShardRunResult>& runs,
-                     int32_t num_entities, int threads, int dim) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write --json=%s\n", path.c_str());
-    return false;
-  }
-  const ShardRunResult& base = runs.front();
-  std::fprintf(f,
-               "{\n"
-               "  \"schema_version\": 1,\n"
-               "  \"suite\": \"shards\",\n"
-               "  \"simd_path\": \"%s\",\n"
-               "  \"threads\": %d,\n"
-               "  \"dim\": %d,\n"
-               "  \"runs\": [\n",
-               simd::ActivePathName(), threads, dim);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const ShardRunResult& r = runs[i];
-    auto ratio = [](double v, double b) { return b > 0.0 ? v / b : 0.0; };
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"scorer\": \"%s\",\n"
-                 "      \"num_entities\": %d,\n"
-                 "      \"target_shards\": %d,\n"
-                 "      \"num_shards\": %d,\n"
-                 "      \"train_triples_per_sec\": %.1f,\n"
-                 "      \"eval_queries_per_sec\": %.1f,\n"
-                 "      \"topk_queries_per_sec\": %.1f,\n"
-                 "      \"train_ratio_vs_1shard\": %.3f,\n"
-                 "      \"eval_ratio_vs_1shard\": %.3f,\n"
-                 "      \"topk_ratio_vs_1shard\": %.3f\n"
-                 "    }%s\n",
-                 scorer.c_str(), num_entities, r.target_shards, r.num_shards,
-                 r.train_tps, r.eval_qps, r.topk_qps,
-                 ratio(r.train_tps, base.train_tps),
-                 ratio(r.eval_qps, base.eval_qps),
-                 ratio(r.topk_qps, base.topk_qps),
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
-int RunShardsBench(const std::string& scorer_filter, const bench::Settings& s,
-                   const std::vector<int>& shard_targets,
-                   const std::string& json_path, int threads, int epochs) {
-  // One scorer per artifact keeps the run list keyed by shard count
-  // alone; --scorer narrows it, default transe (the cheapest kernel, so
-  // the slab-walk overhead is the least diluted).
-  const std::string scorer =
-      scorer_filter == "all" ? "transe" : scorer_filter;
-  const Dataset data = bench::GetDataset("wn18rr", s);
-  const KgIndex index(data.train);
-  const KgIndex filter(std::vector<const TripleStore*>{
-      &data.train, &data.valid, &data.test});
-
-  std::printf("--- entity shard scaling: %s, |E|=%d, dim=%d, t=%d ---\n",
-              scorer.c_str(), data.num_entities(), s.dim, threads);
-  std::printf("NUMA placement: %s\n\n",
-              ShardedEmbeddingTable::NumaAvailable()
-                  ? "libnuma (shards bound round-robin)"
-                  : "unavailable (first-touch only)");
-  TextTable table;
-  table.SetHeader({"shards (target)", "train triples/s", "eval queries/s",
-                   "topk queries/s", "train vs 1-shard"});
-  std::vector<ShardRunResult> runs;
-  runs.reserve(shard_targets.size());
-  for (const int target : shard_targets) {
-    runs.push_back(MeasureShardRun(data, index, filter, scorer, s, target,
-                                   threads, epochs));
-    const ShardRunResult& r = runs.back();
-    char label[48], train[32], eval_s[32], topk[32], rel[32];
-    std::snprintf(label, sizeof(label), "%d (%d)", r.num_shards,
-                  r.target_shards);
-    std::snprintf(train, sizeof(train), "%.0f", r.train_tps);
-    std::snprintf(eval_s, sizeof(eval_s), "%.0f", r.eval_qps);
-    std::snprintf(topk, sizeof(topk), "%.0f", r.topk_qps);
-    std::snprintf(rel, sizeof(rel), "%.2fx",
-                  runs.front().train_tps > 0.0
-                      ? r.train_tps / runs.front().train_tps
-                      : 0.0);
-    table.AddRow({label, train, eval_s, topk, rel});
-  }
-  std::printf("%s\n", table.Render().c_str());
-  std::printf(
-      "Sharding is pure layout — every row above computes bit-identical\n"
-      "results (pinned by embedding_sharded_table_test), so deltas are\n"
-      "the per-shard slab walk plus allocation locality. The first row\n"
-      "(1 shard) is the pre-PR flat slab.\n");
-  if (!json_path.empty() &&
-      !WriteShardsJson(json_path, scorer, runs, data.num_entities(), threads,
-                       s.dim)) {
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace nsc
 
@@ -646,12 +438,10 @@ int main(int argc, char** argv) {
   std::string scorer_filter = "all";
   std::string json_path;
   bool topk_only = false;
-  std::vector<int> shard_targets;
   for (int i = 1; i < argc; ++i) {
     const char* kSamplerFlag = "--sampler=";
     const char* kScorerFlag = "--scorer=";
     const char* kJsonFlag = "--json=";
-    const char* kShardsFlag = "--shards=";
     if (std::strncmp(argv[i], kSamplerFlag, std::strlen(kSamplerFlag)) == 0) {
       sampler_filter = argv[i] + std::strlen(kSamplerFlag);
     } else if (std::strncmp(argv[i], kScorerFlag, std::strlen(kScorerFlag)) ==
@@ -659,41 +449,20 @@ int main(int argc, char** argv) {
       scorer_filter = argv[i] + std::strlen(kScorerFlag);
     } else if (std::strncmp(argv[i], kJsonFlag, std::strlen(kJsonFlag)) == 0) {
       json_path = argv[i] + std::strlen(kJsonFlag);
-    } else if (std::strncmp(argv[i], kShardsFlag, std::strlen(kShardsFlag)) ==
-               0) {
-      // Comma-separated shard targets, e.g. --shards=1,2,8. The 1-shard
-      // row is the flat-slab baseline the JSON ratios divide by.
-      const char* p = argv[i] + std::strlen(kShardsFlag);
-      while (*p != '\0') {
-        char* end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1 || (*end != ',' && *end != '\0')) {
-          std::fprintf(stderr, "bad --shards list (want e.g. 1,2,8): %s\n",
-                       argv[i]);
-          return 1;
-        }
-        shard_targets.push_back(static_cast<int>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (shard_targets.empty()) {
-        std::fprintf(stderr, "empty --shards list\n");
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--topk") == 0) {
       topk_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sampler=bernoulli|nscaching|all]"
                    " [--scorer=transe|distmult|complex|all]"
-                   " [--topk]"
-                   " [--shards=<n,n,...>] [--json=<path>]\n",
+                   " [--topk [--json=<path>]]\n",
                    argv[0]);
       return 1;
     }
   }
-  if (!json_path.empty() && !topk_only && shard_targets.empty()) {
-    std::fprintf(stderr, "--json requires --topk or --shards (only those "
-                         "suites have a JSON schema)\n");
+  if (!json_path.empty() && !topk_only) {
+    std::fprintf(stderr, "--json requires --topk (the only suite with a "
+                         "JSON schema)\n");
     return 1;
   }
   // Reject unknown filter values up front — the kernel microbench always
@@ -714,18 +483,6 @@ int main(int argc, char** argv) {
   const int max_threads =
       static_cast<int>(GetEnvInt("NSC_THREADS", 4));
   const int epochs = std::max(1, std::min(s.epochs, 5));
-
-  if (!shard_targets.empty()) {
-    if (topk_only) {
-      std::fprintf(stderr, "--shards is its own suite; drop --topk\n");
-      return 1;
-    }
-    std::printf("=== Entity shard scaling ===\n\n");
-    std::printf("simd dispatch: %s  (NSC_FORCE_SCALAR=1 forces scalar)\n\n",
-                simd::ActivePathName());
-    return RunShardsBench(scorer_filter, s, shard_targets, json_path,
-                          max_threads, epochs);
-  }
 
   if (topk_only) {
     std::printf("=== Top-K retrieval throughput ===\n\n");

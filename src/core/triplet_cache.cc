@@ -87,12 +87,6 @@ TripletCache::LockedEntry TripletCache::Acquire(uint64_t key, Rng* rng)
   return LockedEntry(this, &ShardFor(key), key, rng);
 }
 
-std::vector<EntityId>& TripletCache::GetOrInit(uint64_t key, Rng* rng) {
-  Shard* shard = &ShardFor(key);
-  MutexLock lock(&shard->mu);
-  return *GetOrInitLocked(shard, key, rng);
-}
-
 const std::vector<EntityId>* TripletCache::Find(uint64_t key) const {
   const Shard* shard = &ShardFor(key);
   MutexLock lock(&shard->mu);

@@ -16,7 +16,8 @@
 // lock-striped shards (hashed key -> shard), each with its own map, LRU
 // list and mutex, so Hogwild workers can select from and refresh disjoint
 // entries concurrently. Acquire() hands out an entry together with its
-// shard lock; GetOrInit()/Find() are the legacy single-threaded accessors.
+// shard lock; Find() is a read-only lookup for inspecting a quiescent
+// cache (benches, examples).
 // Lazy initialisation consumes the caller's Rng identically regardless of
 // the shard count, so an unbounded cache produces bit-for-bit the same
 // entries whether it has 1 shard or 64 (pinned by cache_stress_test).
@@ -102,16 +103,9 @@ class TripletCache {
     std::vector<EntityId>* candidates_;
   };
 
-  /// Thread-safe GetOrInit: locks the key's shard, creates the entry with
-  /// `capacity` uniform random entities when absent, and returns it with
-  /// the lock held.
+  /// Locks the key's shard, creates the entry with `capacity` uniform
+  /// random entities when absent, and returns it with the lock held.
   LockedEntry Acquire(uint64_t key, Rng* rng);
-
-  /// Returns the entry for `key`, creating it with `capacity` uniform
-  /// random entities when absent. Single-threaded use only: the returned
-  /// reference is unguarded (it stays valid under later inserts — but not
-  /// under eviction when max_entries > 0, exactly as before sharding).
-  std::vector<EntityId>& GetOrInit(uint64_t key, Rng* rng);
 
   /// Returns the entry or nullptr when the key was never touched. The
   /// shard lock is taken for the lookup but released on return, so only
@@ -151,7 +145,7 @@ class TripletCache {
   };
 
   Shard& ShardFor(uint64_t key) const;
-  /// GetOrInit body; the caller must hold `shard->mu`.
+  /// Lookup-or-create body of Acquire; the caller must hold `shard->mu`.
   std::vector<EntityId>* GetOrInitLocked(Shard* shard, uint64_t key, Rng* rng)
       NSC_REQUIRES(shard->mu);
   void Touch(Shard* shard, uint64_t key, Entry* entry)

@@ -16,6 +16,10 @@ constexpr char kMagicV1[8] = {'N', 'S', 'C', 'K', 'P', 'T', '0', '1'};
 constexpr char kMagicV2[8] = {'N', 'S', 'C', 'K', 'P', 'T', '0', '2'};
 constexpr std::size_t kMagicSize = sizeof(kMagicV2);
 constexpr std::size_t kTrailerSize = sizeof(uint32_t);
+// Largest dim a checkpoint may declare. Every scorer's row width is at
+// most dim + dim² (TransR), which stays inside int up to 2^15, so the
+// widths the header implies can be computed without overflow.
+constexpr int32_t kMaxDim = int32_t{1} << 15;
 
 // Fault-aware, CRC-accumulating file sink. Every chunk handed to Write
 // evaluates the "ckpt.write" fault point, so a test can fail or tear the
@@ -82,11 +86,10 @@ class CheckpointSink {
 };
 
 // Tables are serialised row-by-row over the logical width, so the on-disk
-// format is the compact layout regardless of the in-memory row stride OR
-// shard count (padding is neither written nor read; rows resolve through
-// the shard layout; files from pre-padding/pre-sharding builds load
-// unchanged and a model saved with N shards reloads into any M).
-void WriteTable(CheckpointSink* sink, const ShardedEmbeddingTable& table) {
+// format is the compact layout regardless of the in-memory row stride
+// (padding is neither written nor read; files from pre-padding builds
+// load unchanged).
+void WriteTable(CheckpointSink* sink, const EmbeddingTable& table) {
   for (int32_t r = 0; r < table.rows(); ++r) {
     sink->Write(table.Row(r), table.width() * sizeof(float));
   }
@@ -118,7 +121,7 @@ class BodyReader {
   bool failed_ = false;
 };
 
-bool ReadTable(BodyReader* in, ShardedEmbeddingTable* table) {
+bool ReadTable(BodyReader* in, EmbeddingTable* table) {
   for (int32_t r = 0; r < table->rows(); ++r) {
     if (!in->Read(table->Row(r), table->width() * sizeof(float))) {
       return false;
@@ -130,8 +133,7 @@ bool ReadTable(BodyReader* in, ShardedEmbeddingTable* table) {
 /// Parses the shared body (everything between magic and trailer —
 /// byte-identical across v1 and v2).
 StatusOr<KgeModel> ParseBody(const std::string& path, const char* data,
-                             std::size_t size,
-                             const ShardOptions& entity_sharding) {
+                             std::size_t size) {
   BodyReader in(data, size);
   uint32_t name_len = 0;
   if (!in.Read(&name_len, sizeof(name_len)) || name_len > 64) {
@@ -146,19 +148,44 @@ StatusOr<KgeModel> ParseBody(const std::string& path, const char* data,
   if (shape[0] <= 0 || shape[1] <= 0 || shape[2] <= 0) {
     return Status::InvalidArgument(path + ": non-positive shape");
   }
+  if (shape[2] > kMaxDim) {
+    return Status::InvalidArgument(path + ": dim out of range");
+  }
 
   auto scorer = MakeScoringFunction(scorer_name);
   if (scorer == nullptr) {
     return Status::InvalidArgument(path + ": unknown scorer " + scorer_name);
   }
-  KgeModel model(shape[0], shape[1], shape[2], std::move(scorer),
-                 TableLayout::kPadded, entity_sharding);
+  // The header is untrusted: the body must hold exactly the floats its
+  // shape implies BEFORE the model is allocated from that shape, or a
+  // few-byte file could demand gigabytes.
+  const uint64_t entity_width = static_cast<uint64_t>(
+      scorer->entity_width(shape[2]));
+  const uint64_t relation_width = static_cast<uint64_t>(
+      scorer->relation_width(shape[2]));
+  uint64_t entity_floats = 0;
+  uint64_t relation_floats = 0;
+  uint64_t table_floats = 0;
+  uint64_t table_bytes = 0;
+  if (__builtin_mul_overflow(static_cast<uint64_t>(shape[0]), entity_width,
+                             &entity_floats) ||
+      __builtin_mul_overflow(static_cast<uint64_t>(shape[1]), relation_width,
+                             &relation_floats) ||
+      __builtin_add_overflow(entity_floats, relation_floats, &table_floats) ||
+      __builtin_mul_overflow(table_floats, uint64_t{sizeof(float)},
+                             &table_bytes)) {
+    return Status::InvalidArgument(path + ": shape overflows");
+  }
+  if (table_bytes > in.remaining()) {
+    return Status::InvalidArgument(path + ": truncated tables");
+  }
+  if (table_bytes < in.remaining()) {
+    return Status::InvalidArgument(path + ": trailing bytes");
+  }
+  KgeModel model(shape[0], shape[1], shape[2], std::move(scorer));
   if (!ReadTable(&in, &model.entity_table()) ||
       !ReadTable(&in, &model.relation_table())) {
     return Status::InvalidArgument(path + ": truncated tables");
-  }
-  if (in.remaining() != 0) {
-    return Status::InvalidArgument(path + ": trailing bytes");
   }
   return model;
 }
@@ -184,8 +211,7 @@ Status SaveModel(const KgeModel& model, const std::string& path) {
   return sink.Close();
 }
 
-StatusOr<KgeModel> LoadModel(const std::string& path,
-                             const ShardOptions& entity_sharding) {
+StatusOr<KgeModel> LoadModel(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
   // Whole-file read: integrity is checked over the complete byte range
@@ -209,14 +235,13 @@ StatusOr<KgeModel> LoadModel(const std::string& path,
       return Status::InvalidArgument(
           path + ": CRC mismatch (torn or corrupt checkpoint)");
     }
-    return ParseBody(path, bytes.data() + kMagicSize,
-                     body_end - kMagicSize, entity_sharding);
+    return ParseBody(path, bytes.data() + kMagicSize, body_end - kMagicSize);
   }
   if (std::memcmp(bytes.data(), kMagicV1, kMagicSize) == 0) {
     // Legacy v1: no trailer, integrity rests on the exact-length check
     // inside ParseBody. Still written by nothing, still read forever.
     return ParseBody(path, bytes.data() + kMagicSize,
-                     bytes.size() - kMagicSize, entity_sharding);
+                     bytes.size() - kMagicSize);
   }
   return Status::InvalidArgument(path + ": not an NSCaching checkpoint");
 }

@@ -36,12 +36,9 @@ Status SaveModel(const KgeModel& model, const std::string& path);
 /// CRC-validated) or the legacy v1 ("NSCKPT01", no trailer; files from
 /// older builds load unchanged). Fails with IOError on unreadable files
 /// and InvalidArgument on malformed, truncated, or CRC-mismatching
-/// content. The format is layout-independent, so `entity_sharding`
-/// restores the same logical model into any shard count (default: one
-/// shard).
-StatusOr<KgeModel> LoadModel(const std::string& path,
-                             const ShardOptions& entity_sharding =
-                                 ShardOptions());
+/// content, and on a header whose shape does not match the body's size
+/// (checked before anything is allocated from that shape).
+StatusOr<KgeModel> LoadModel(const std::string& path);
 
 }  // namespace nsc
 

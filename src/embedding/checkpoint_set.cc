@@ -125,8 +125,7 @@ Status CheckpointSet::Write(const KgeModel& model, int64_t step) const {
   return WriteManifest(steps);
 }
 
-StatusOr<LoadedCheckpoint> CheckpointSet::LoadLatestValid(
-    const ShardOptions& entity_sharding) const {
+StatusOr<LoadedCheckpoint> CheckpointSet::LoadLatestValid() const {
   StatusOr<std::vector<int64_t>> listed = ListSteps();
   NSC_RETURN_IF_ERROR(listed.status());
   std::vector<int64_t> steps = std::move(listed.value());
@@ -134,7 +133,7 @@ StatusOr<LoadedCheckpoint> CheckpointSet::LoadLatestValid(
   std::vector<std::string> skipped;
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     const std::string path = CheckpointPath(*it);
-    StatusOr<KgeModel> loaded = LoadModel(path, entity_sharding);
+    StatusOr<KgeModel> loaded = LoadModel(path);
     if (loaded.ok()) {
       LoadedCheckpoint result{std::move(loaded).value(), *it,
                               std::move(skipped)};

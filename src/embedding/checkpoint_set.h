@@ -70,8 +70,7 @@ class CheckpointSet {
   /// Skips (and records) torn/corrupt/unreadable files. NotFound when
   /// the directory holds no valid checkpoint; IOError when it cannot be
   /// listed.
-  StatusOr<LoadedCheckpoint> LoadLatestValid(
-      const ShardOptions& entity_sharding = ShardOptions()) const;
+  StatusOr<LoadedCheckpoint> LoadLatestValid() const;
 
   /// Steps of every checkpoint FILE present (valid or not), ascending.
   StatusOr<std::vector<int64_t>> ListSteps() const;

@@ -1,5 +1,6 @@
 #include "embedding/embedding_table.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.h"
@@ -14,6 +15,16 @@ void EmbeddingTable::CopyLogicalFrom(const EmbeddingTable& other) {
     float* dst = Row(r);
     for (int i = 0; i < width_; ++i) dst[i] = src[i];
   }
+}
+
+std::vector<float> EmbeddingTable::LogicalCopy() const {
+  std::vector<float> out(logical_size());
+  for (int32_t r = 0; r < rows_; ++r) {
+    const float* src = Row(r);
+    std::copy(src, src + width_,
+              out.begin() + static_cast<size_t>(r) * width_);
+  }
+  return out;
 }
 
 void EmbeddingTable::ProjectRowToL2Ball(int32_t i, int prefix, float max_norm) {

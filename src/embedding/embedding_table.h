@@ -113,6 +113,10 @@ class EmbeddingTable {
   /// logical width (CHECKed). This table's padding is left untouched.
   void CopyLogicalFrom(const EmbeddingTable& other);
 
+  /// The logical contents as one compact rows × width buffer — the
+  /// layout-independent image tests compare across strides.
+  std::vector<float> LogicalCopy() const;
+
   /// Scales row i so its L2 norm over the first `prefix` floats is at
   /// most `max_norm` (no-op when already inside the ball).
   void ProjectRowToL2Ball(int32_t i, int prefix, float max_norm);

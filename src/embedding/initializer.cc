@@ -7,12 +7,10 @@ namespace nsc {
 namespace {
 
 // All initializers walk rows × logical width (never the raw storage), so
-// a padded and a compact table — and a sharded and a single-slab one —
-// consume the identical RNG stream and end up with identical logical
-// contents; padding floats stay zero. Templated over the table type:
-// EmbeddingTable and ShardedEmbeddingTable share the Row/rows/width API.
-template <typename Table, typename Fn>
-void FillRows(Table* table, Fn&& fill) {
+// a padded and a compact table consume the identical RNG stream and end
+// up with identical logical contents; padding floats stay zero.
+template <typename Fn>
+void FillRows(EmbeddingTable* table, Fn&& fill) {
   const int width = table->width();
   for (int32_t r = 0; r < table->rows(); ++r) {
     float* row = table->Row(r);
@@ -27,29 +25,13 @@ void XavierUniformInit(EmbeddingTable* table, Rng* rng) {
   UniformInit(table, -bound, bound, rng);
 }
 
-void XavierUniformInit(ShardedEmbeddingTable* table, Rng* rng) {
-  const double bound = std::sqrt(6.0 / (2.0 * table->width()));
-  UniformInit(table, -bound, bound, rng);
-}
-
 void GaussianInit(EmbeddingTable* table, double stddev, Rng* rng) {
   FillRows(table, [&] {
     return static_cast<float>(rng->Gaussian(0.0, stddev));
   });
 }
 
-void GaussianInit(ShardedEmbeddingTable* table, double stddev, Rng* rng) {
-  FillRows(table, [&] {
-    return static_cast<float>(rng->Gaussian(0.0, stddev));
-  });
-}
-
 void UniformInit(EmbeddingTable* table, double lo, double hi, Rng* rng) {
-  FillRows(table, [&] { return static_cast<float>(rng->Uniform(lo, hi)); });
-}
-
-void UniformInit(ShardedEmbeddingTable* table, double lo, double hi,
-                 Rng* rng) {
   FillRows(table, [&] { return static_cast<float>(rng->Uniform(lo, hi)); });
 }
 

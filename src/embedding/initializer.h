@@ -4,28 +4,23 @@
 #define NSCACHING_EMBEDDING_INITIALIZER_H_
 
 #include "embedding/embedding_table.h"
-#include "embedding/sharded_table.h"
 #include "util/rng.h"
 
 namespace nsc {
 
-// Every initializer walks global rows in order over the logical width,
-// so a given RNG produces identical logical contents regardless of
-// layout — padded or compact, one shard or many (the sharded overloads
-// consume the exact same RNG stream as the single-slab ones).
+// Every initializer walks rows in order over the logical width, so a
+// given RNG produces identical logical contents regardless of layout —
+// padded or compact.
 
 /// Fills the table with U(-b, b), b = sqrt(6 / (fan_in + fan_out)) where
 /// both fans equal the row width (the convention for embedding lookups).
 void XavierUniformInit(EmbeddingTable* table, Rng* rng);
-void XavierUniformInit(ShardedEmbeddingTable* table, Rng* rng);
 
 /// Fills the table with N(0, stddev^2).
 void GaussianInit(EmbeddingTable* table, double stddev, Rng* rng);
-void GaussianInit(ShardedEmbeddingTable* table, double stddev, Rng* rng);
 
 /// Fills the table with U(lo, hi).
 void UniformInit(EmbeddingTable* table, double lo, double hi, Rng* rng);
-void UniformInit(ShardedEmbeddingTable* table, double lo, double hi, Rng* rng);
 
 }  // namespace nsc
 

@@ -42,27 +42,17 @@ TopKCollector& Collector() {
 
 KgeModel::KgeModel(int32_t num_entities, int32_t num_relations, int dim,
                    std::unique_ptr<ScoringFunction> scorer,
-                   TableLayout layout, const ShardOptions& entity_sharding)
+                   TableLayout layout)
     : dim_(dim), scorer_(std::move(scorer)) {
   CHECK(scorer_ != nullptr);
   CHECK_GT(dim, 0);
   const int pad = layout == TableLayout::kPadded ? simd::kPadLanes : 1;
-  entities_ = ShardedEmbeddingTable(num_entities, scorer_->entity_width(dim),
-                                    pad, entity_sharding);
-  // Relation counts are small — one shard always.
-  relations_ = ShardedEmbeddingTable(num_relations,
-                                     scorer_->relation_width(dim), pad);
+  entities_ = EmbeddingTable(num_entities, scorer_->entity_width(dim), pad);
+  relations_ = EmbeddingTable(num_relations, scorer_->relation_width(dim), pad);
 }
 
 KgeModel::KgeModel(int dim, std::unique_ptr<ScoringFunction> scorer,
                    EmbeddingTable entities, EmbeddingTable relations)
-    : KgeModel(dim, std::move(scorer),
-               ShardedEmbeddingTable(std::move(entities)),
-               ShardedEmbeddingTable(std::move(relations))) {}
-
-KgeModel::KgeModel(int dim, std::unique_ptr<ScoringFunction> scorer,
-                   ShardedEmbeddingTable entities,
-                   ShardedEmbeddingTable relations)
     : dim_(dim),
       scorer_(std::move(scorer)),
       entities_(std::move(entities)),
@@ -117,35 +107,21 @@ void KgeModel::ScoreAllTails(EntityId h, RelationId r, double* out) const {
 void KgeModel::ScoreHeadRange(RelationId r, EntityId t, std::size_t first,
                               std::size_t count, double* out) const {
   if (count == 0) return;
-  const float* fixed_t = entities_.Row(t);
-  const float* fixed_r = relations_.Row(r);
-  // One sweep per shard slab: per-candidate scores are slab-independent,
-  // so out is bit-identical to a single contiguous sweep.
-  entities_.ForEachSlab(
-      first, count,
-      [&](int /*shard*/, const float* base, std::size_t global_first,
-          std::size_t n) {
-        scorer_->ScoreAllCandidates(CorruptionSide::kHead, fixed_t, fixed_r,
-                                    base,
-                                    static_cast<size_t>(entities_.stride()), n,
-                                    dim_, out + (global_first - first));
-      });
+  CHECK_LE(first + count, static_cast<std::size_t>(entities_.rows()));
+  scorer_->ScoreAllCandidates(
+      CorruptionSide::kHead, entities_.Row(t), relations_.Row(r),
+      entities_.Row(static_cast<int32_t>(first)),
+      static_cast<size_t>(entities_.stride()), count, dim_, out);
 }
 
 void KgeModel::ScoreTailRange(EntityId h, RelationId r, std::size_t first,
                               std::size_t count, double* out) const {
   if (count == 0) return;
-  const float* fixed_h = entities_.Row(h);
-  const float* fixed_r = relations_.Row(r);
-  entities_.ForEachSlab(
-      first, count,
-      [&](int /*shard*/, const float* base, std::size_t global_first,
-          std::size_t n) {
-        scorer_->ScoreAllCandidates(CorruptionSide::kTail, fixed_h, fixed_r,
-                                    base,
-                                    static_cast<size_t>(entities_.stride()), n,
-                                    dim_, out + (global_first - first));
-      });
+  CHECK_LE(first + count, static_cast<std::size_t>(entities_.rows()));
+  scorer_->ScoreAllCandidates(
+      CorruptionSide::kTail, entities_.Row(h), relations_.Row(r),
+      entities_.Row(static_cast<int32_t>(first)),
+      static_cast<size_t>(entities_.stride()), count, dim_, out);
 }
 
 void KgeModel::TopKHeads(RelationId r, EntityId t, std::size_t k,
@@ -154,24 +130,10 @@ void KgeModel::TopKHeads(RelationId r, EntityId t, std::size_t k,
   TopKCollector& c = Collector();
   c.Reset(k);
   if (entities_.rows() > 0) {
-    const float* fixed_t = entities_.Row(t);
-    const float* fixed_r = relations_.Row(r);
-    // One fused sweep per shard, sharing the collector: the index base
-    // maps slab-relative indices to global EntityIds, shards are swept
-    // in row order (offers stay globally index-ordered), and the running
-    // threshold carries across shards — so the retrieved set is
-    // bit-identical to one contiguous sweep.
-    entities_.ForEachSlab(
-        0, static_cast<std::size_t>(entities_.rows()),
-        [&](int /*shard*/, const float* base, std::size_t global_first,
-            std::size_t n) {
-          c.set_index_base(global_first);
-          scorer_->TopKCandidates(CorruptionSide::kHead, fixed_t, fixed_r,
-                                  base,
-                                  static_cast<size_t>(entities_.stride()), n,
-                                  dim_, &c);
-        });
-    c.set_index_base(0);
+    scorer_->TopKCandidates(CorruptionSide::kHead, entities_.Row(t),
+                            relations_.Row(r), entities_.Row(0),
+                            static_cast<size_t>(entities_.stride()),
+                            static_cast<size_t>(entities_.rows()), dim_, &c);
   }
   if (stats != nullptr) *stats = c.stats();
   c.ExtractSorted(out);
@@ -183,19 +145,10 @@ void KgeModel::TopKTails(EntityId h, RelationId r, std::size_t k,
   TopKCollector& c = Collector();
   c.Reset(k);
   if (entities_.rows() > 0) {
-    const float* fixed_h = entities_.Row(h);
-    const float* fixed_r = relations_.Row(r);
-    entities_.ForEachSlab(
-        0, static_cast<std::size_t>(entities_.rows()),
-        [&](int /*shard*/, const float* base, std::size_t global_first,
-            std::size_t n) {
-          c.set_index_base(global_first);
-          scorer_->TopKCandidates(CorruptionSide::kTail, fixed_h, fixed_r,
-                                  base,
-                                  static_cast<size_t>(entities_.stride()), n,
-                                  dim_, &c);
-        });
-    c.set_index_base(0);
+    scorer_->TopKCandidates(CorruptionSide::kTail, entities_.Row(h),
+                            relations_.Row(r), entities_.Row(0),
+                            static_cast<size_t>(entities_.stride()),
+                            static_cast<size_t>(entities_.rows()), dim_, &c);
   }
   if (stats != nullptr) *stats = c.stats();
   c.ExtractSorted(out);
@@ -209,7 +162,7 @@ namespace {
 // (entity row, relation row) pair of query q.
 template <typename FixedRowsFn>
 void TopKBatchImpl(const ScoringFunction& scorer, CorruptionSide side,
-                   const ShardedEmbeddingTable& entities, std::size_t nq,
+                   const EmbeddingTable& entities, std::size_t nq,
                    FixedRowsFn fixed_rows, std::size_t k, int dim,
                    std::vector<std::vector<TopKEntry>>* out,
                    TopKSweepStats* stats) {
@@ -228,25 +181,13 @@ void TopKBatchImpl(const ScoringFunction& scorer, CorruptionSide side,
     fixed_r[q] = rows.second;
   }
   if (entities.rows() > 0) {
-    // One batched sweep per shard slab; every query's collector gets the
-    // shard's global base so slab indices come out as EntityIds, and the
-    // per-query thresholds persist across shards (same merged-collector
-    // argument as TopKHeads).
-    entities.ForEachSlab(
-        0, static_cast<std::size_t>(entities.rows()),
-        [&](int /*shard*/, const float* base, std::size_t global_first,
-            std::size_t n) {
-          for (std::size_t q = 0; q < nq; ++q) {
-            collectors[q].set_index_base(global_first);
-          }
-          scorer.TopKCandidatesBatch(side, fixed_e.data(), fixed_r.data(), nq,
-                                     base,
-                                     static_cast<size_t>(entities.stride()), n,
-                                     dim, collector_ptrs.data());
-        });
+    scorer.TopKCandidatesBatch(side, fixed_e.data(), fixed_r.data(), nq,
+                               entities.Row(0),
+                               static_cast<size_t>(entities.stride()),
+                               static_cast<size_t>(entities.rows()), dim,
+                               collector_ptrs.data());
   }
   for (std::size_t q = 0; q < nq; ++q) {
-    collectors[q].set_index_base(0);
     if (stats != nullptr) {
       stats->tiles += collectors[q].stats().tiles;
       stats->pruned_tiles += collectors[q].stats().pruned_tiles;
@@ -286,7 +227,7 @@ namespace {
 // Gathers `candidates`' entity rows into one contiguous slab (the sweep
 // calling convention). Only the logical width is copied; sweeps never
 // read a row past it, so stale floats between width and stride are fine.
-const float* GatherCandidateRows(const ShardedEmbeddingTable& entities,
+const float* GatherCandidateRows(const EmbeddingTable& entities,
                                  const std::vector<EntityId>& candidates) {
   AlignedFloatVector& rows = GatherScratch();
   const size_t stride = entities.stride();

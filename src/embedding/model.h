@@ -11,7 +11,6 @@
 
 #include "embedding/embedding_table.h"
 #include "embedding/scoring_function.h"
-#include "embedding/sharded_table.h"
 #include "kg/types.h"
 #include "util/rng.h"
 
@@ -29,26 +28,16 @@ class KgeModel {
  public:
   /// Allocates tables sized by the scorer's widths; rows start at zero —
   /// call InitXavier (or copy from a pretrained model) before training.
-  /// `entity_sharding` partitions the entity table into power-of-two row
-  /// blocks (ShardedEmbeddingTable); the relation table stays one shard
-  /// (relation counts are tiny). Sharding is pure layout: training,
-  /// evaluation and retrieval are bit-identical across shard counts.
   KgeModel(int32_t num_entities, int32_t num_relations, int dim,
            std::unique_ptr<ScoringFunction> scorer,
-           TableLayout layout = TableLayout::kPadded,
-           const ShardOptions& entity_sharding = ShardOptions());
+           TableLayout layout = TableLayout::kPadded);
 
-  /// Adopts externally built tables (checkpoint restore, future mmap
-  /// loaders) as single-shard sharded tables. CHECK-fails unless each
-  /// table's logical width matches the width the scorer declares for
-  /// `dim` — a scorer must never interpret rows of the wrong shape.
+  /// Adopts externally built tables (Clone, future mmap loaders).
+  /// CHECK-fails unless each table's logical width matches the width the
+  /// scorer declares for `dim` — a scorer must never interpret rows of
+  /// the wrong shape.
   KgeModel(int dim, std::unique_ptr<ScoringFunction> scorer,
            EmbeddingTable entities, EmbeddingTable relations);
-
-  /// Adopts already-sharded tables (Clone, shard-aware loaders). Same
-  /// width CHECKs as the slab-adopting constructor.
-  KgeModel(int dim, std::unique_ptr<ScoringFunction> scorer,
-           ShardedEmbeddingTable entities, ShardedEmbeddingTable relations);
 
   /// Xavier-uniform initialisation of both tables (paper's "from scratch").
   void InitXavier(Rng* rng);
@@ -68,12 +57,11 @@ class KgeModel {
                   std::vector<double>* out) const;
 
   /// Scores every entity as a candidate head for fixed (r, t) in one
-  /// 1-vs-all kernel sweep per entity shard (a shard IS a slab):
+  /// 1-vs-all kernel sweep over the entity table:
   /// out[e] = f(e, r, t) for e in [0, num_entities). `out` must hold
   /// num_entities() doubles. This is the link-prediction ranking hot
   /// path: no per-candidate pointer arrays, one virtual dispatch per
-  /// shard sweep (ScoringFunction::ScoreAllCandidates); per-candidate
-  /// scores are slab-independent, so results are shard-count-invariant.
+  /// sweep (ScoringFunction::ScoreAllCandidates).
   void ScoreAllHeads(RelationId r, EntityId t, double* out) const;
 
   /// Scores every entity as a candidate tail for fixed (h, r).
@@ -81,7 +69,7 @@ class KgeModel {
 
   /// Sweeps the entity sub-range [first, first + count) as candidate
   /// heads for fixed (r, t): out[i] = f(first + i, r, t). Same kernels
-  /// as ScoreAllHeads restricted to a slab slice — per-candidate scores
+  /// as ScoreAllHeads restricted to a row slice — per-candidate scores
   /// are range-independent, so out[i] is bit-identical to the full
   /// sweep's entry first + i. This is the tile primitive of the
   /// evaluator's Hits@K early-exit mode.
@@ -174,10 +162,10 @@ class KgeModel {
     scorer_->ProjectRelationRow(relations_.Row(r), dim_);
   }
 
-  ShardedEmbeddingTable& entity_table() { return entities_; }
-  const ShardedEmbeddingTable& entity_table() const { return entities_; }
-  ShardedEmbeddingTable& relation_table() { return relations_; }
-  const ShardedEmbeddingTable& relation_table() const { return relations_; }
+  EmbeddingTable& entity_table() { return entities_; }
+  const EmbeddingTable& entity_table() const { return entities_; }
+  EmbeddingTable& relation_table() { return relations_; }
+  const EmbeddingTable& relation_table() const { return relations_; }
 
   const ScoringFunction& scorer() const { return *scorer_; }
   int dim() const { return dim_; }
@@ -197,7 +185,7 @@ class KgeModel {
   /// Overwrites this model's parameters with `other`'s logical contents —
   /// the serving layer's snapshot copy hook (EmbeddingSnapshot reuses its
   /// buffers across publications instead of reallocating). Layout-safe:
-  /// strides and shard layouts may differ, but the scorer name, dim and
+  /// strides may differ, but the scorer name, dim and
   /// both table shapes must match (CHECKed). Padding is left untouched,
   /// so the copy is bit-identical at the logical level regardless of
   /// either side's layout.
@@ -206,8 +194,8 @@ class KgeModel {
  private:
   int dim_;
   std::unique_ptr<ScoringFunction> scorer_;
-  ShardedEmbeddingTable entities_;
-  ShardedEmbeddingTable relations_;
+  EmbeddingTable entities_;
+  EmbeddingTable relations_;
 };
 
 }  // namespace nsc

@@ -6,7 +6,7 @@
 
 namespace nsc {
 
-void SgdOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
+void SgdOptimizer::Apply(EmbeddingTable* table, int32_t row,
                          const float* grad) {
   float* p = table->Row(row);
   const int w = table->width();
@@ -14,22 +14,19 @@ void SgdOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
 }
 
 AdagradOptimizer::AdagradOptimizer(double lr,
-                                   const ShardedEmbeddingTable& shape,
+                                   const EmbeddingTable& shape,
                                    double eps)
     : lr_(lr),
       eps_(eps),
-      accum_(ShardedEmbeddingTable::ZerosLike(shape)),
+      accum_(shape.rows(), shape.width(), shape.stride()),
       width_(shape.width()),
       stride_(shape.stride()) {}
 
-void AdagradOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
+void AdagradOptimizer::Apply(EmbeddingTable* table, int32_t row,
                              const float* grad) {
   CHECK_EQ(table->width(), width_);
   CHECK_EQ(table->stride(), stride_);
   float* p = table->Row(row);
-  // Moment rows resolve through the mirrored shard layout — never
-  // through base + row * stride arithmetic, which would assume one
-  // contiguous slab.
   float* a = accum_.Row(row);
   for (int i = 0; i < width_; ++i) {
     a[i] += grad[i] * grad[i];
@@ -37,18 +34,18 @@ void AdagradOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
   }
 }
 
-AdamOptimizer::AdamOptimizer(double lr, const ShardedEmbeddingTable& shape,
+AdamOptimizer::AdamOptimizer(double lr, const EmbeddingTable& shape,
                              double beta1, double beta2, double eps)
     : lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
-      m_(ShardedEmbeddingTable::ZerosLike(shape)),
-      v_(ShardedEmbeddingTable::ZerosLike(shape)),
+      m_(shape.rows(), shape.width(), shape.stride()),
+      v_(shape.rows(), shape.width(), shape.stride()),
       width_(shape.width()),
       stride_(shape.stride()) {}
 
-void AdamOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
+void AdamOptimizer::Apply(EmbeddingTable* table, int32_t row,
                           const float* grad) {
   CHECK_EQ(table->width(), width_);
   CHECK_EQ(table->stride(), stride_);
@@ -70,7 +67,7 @@ void AdamOptimizer::Apply(ShardedEmbeddingTable* table, int32_t row,
 }
 
 std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name, double lr,
-                                         const ShardedEmbeddingTable& shape) {
+                                         const EmbeddingTable& shape) {
   if (name == "sgd") return std::make_unique<SgdOptimizer>(lr);
   if (name == "adagrad") return std::make_unique<AdagradOptimizer>(lr, shape);
   if (name == "adam") return std::make_unique<AdamOptimizer>(lr, shape);

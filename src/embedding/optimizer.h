@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "embedding/sharded_table.h"
+#include "embedding/embedding_table.h"
 
 namespace nsc {
 
@@ -27,7 +27,7 @@ class Optimizer {
   virtual void BeginStep() {}
 
   /// Applies a descent update to `table` row `row` given ∂loss/∂row.
-  virtual void Apply(ShardedEmbeddingTable* table, int32_t row,
+  virtual void Apply(EmbeddingTable* table, int32_t row,
                      const float* grad) = 0;
 
   /// Batched sparse apply: one update per (rows[i], grads + i*grad_stride)
@@ -36,7 +36,7 @@ class Optimizer {
   /// drives straight from a GradAccumulator's flat slot storage. The
   /// default loops Apply; stateful optimizers may override to amortize
   /// per-step work (e.g. Adam's bias-correction terms).
-  virtual void ApplyBatch(ShardedEmbeddingTable* table, const int32_t* rows,
+  virtual void ApplyBatch(EmbeddingTable* table, const int32_t* rows,
                           size_t n, const float* grads, size_t grad_stride) {
     for (size_t s = 0; s < n; ++s) {
       Apply(table, rows[s], grads + s * grad_stride);
@@ -51,7 +51,7 @@ class SgdOptimizer : public Optimizer {
  public:
   explicit SgdOptimizer(double lr) : lr_(lr) {}
   std::string name() const override { return "sgd"; }
-  void Apply(ShardedEmbeddingTable* table, int32_t row,
+  void Apply(EmbeddingTable* table, int32_t row,
              const float* grad) override;
   double learning_rate() const override { return lr_; }
 
@@ -62,21 +62,20 @@ class SgdOptimizer : public Optimizer {
 /// Adagrad: per-coordinate accumulated squared gradients.
 class AdagradOptimizer : public Optimizer {
  public:
-  AdagradOptimizer(double lr, const ShardedEmbeddingTable& shape,
+  AdagradOptimizer(double lr, const EmbeddingTable& shape,
                    double eps = 1e-8);
   std::string name() const override { return "adagrad"; }
-  void Apply(ShardedEmbeddingTable* table, int32_t row,
+  void Apply(EmbeddingTable* table, int32_t row,
              const float* grad) override;
   double learning_rate() const override { return lr_; }
 
  private:
   double lr_;
   double eps_;
-  // Moment storage mirrors the table geometry exactly — same rows,
-  // stride AND shard layout (ZerosLike), so moment rows stay aligned and
-  // live in per-shard allocations that follow the table's shard
-  // ownership/placement; `grad` stays logical-width.
-  ShardedEmbeddingTable accum_;
+  // Moment storage mirrors the table geometry exactly — same rows and
+  // stride (pad_lanes = stride reproduces it, since stride >= width) —
+  // so moment rows stay aligned; `grad` stays logical-width.
+  EmbeddingTable accum_;
   int width_;
   int stride_;
 };
@@ -85,7 +84,7 @@ class AdagradOptimizer : public Optimizer {
 /// except the learning rate).
 class AdamOptimizer : public Optimizer {
  public:
-  AdamOptimizer(double lr, const ShardedEmbeddingTable& shape,
+  AdamOptimizer(double lr, const EmbeddingTable& shape,
                 double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
   std::string name() const override { return "adam"; }
   /// Atomic so Hogwild workers can step concurrently; the count is exact,
@@ -93,7 +92,7 @@ class AdamOptimizer : public Optimizer {
   void BeginStep() override {
     step_.fetch_add(1, std::memory_order_relaxed);
   }
-  void Apply(ShardedEmbeddingTable* table, int32_t row,
+  void Apply(EmbeddingTable* table, int32_t row,
              const float* grad) override;
   double learning_rate() const override { return lr_; }
   int64_t step() const { return step_.load(std::memory_order_relaxed); }
@@ -101,16 +100,16 @@ class AdamOptimizer : public Optimizer {
  private:
   double lr_, beta1_, beta2_, eps_;
   std::atomic<int64_t> step_{0};
-  ShardedEmbeddingTable m_;  // First moment, same geometry as the table.
-  ShardedEmbeddingTable v_;  // Second moment.
+  EmbeddingTable m_;  // First moment, same geometry as the table.
+  EmbeddingTable v_;  // Second moment.
   int width_;
   int stride_;
 };
 
 /// Factory: "sgd" | "adagrad" | "adam"; `shape` supplies moment
-/// geometry (rows, stride and shard layout alike).
+/// geometry (rows and stride).
 std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name, double lr,
-                                         const ShardedEmbeddingTable& shape);
+                                         const EmbeddingTable& shape);
 
 }  // namespace nsc
 

@@ -103,8 +103,8 @@ void KbganSampler::Feedback(const Triple& pos, const NegativeSample& neg,
   // apply SGD. The fixed (r, t) / (h, r) rows accumulate across candidates.
   const int dim = generator_->dim();
   const ScoringFunction& scorer = generator_->scorer();
-  ShardedEmbeddingTable& ent = generator_->entity_table();
-  ShardedEmbeddingTable& rel = generator_->relation_table();
+  EmbeddingTable& ent = generator_->entity_table();
+  EmbeddingTable& rel = generator_->relation_table();
 
   std::vector<float> g_cand(ent.width());
   std::vector<float> g_rel(rel.width(), 0.0f);

@@ -34,7 +34,9 @@ struct TrainConfig {
   /// `false` selects the paper-exact pair loop: each negative is sampled
   /// against the live model and scored with per-pair scalar
   /// Score/Backward, bit-for-bit the same for every batch_size. The
-  /// paper-figure benches pin it because RR and NZL are defined on it.
+  /// benches built on bench::BasePipeline pin it (Figs. 2-5, 9 and 10,
+  /// Tables IV and V); Fig. 1, Fig. 6, Fig. 7 (RR/NZL), Fig. 8, Table VI
+  /// and the bounded-cache ablation train fused.
   /// It runs on one thread only: the Trainer CHECK-fails on
   /// fused_scoring = false with num_threads != 1.
   bool fused_scoring = true;

@@ -67,8 +67,8 @@ Trainer::PairOutcome Trainer::TrainPairStep(const Triple& pos,
   std::fill(ws->relation_grad.begin(), ws->relation_grad.end(), 0.0f);
   const int dim = model_->dim();
   const ScoringFunction& scorer = model_->scorer();
-  ShardedEmbeddingTable& ent = model_->entity_table();
-  ShardedEmbeddingTable& rel = model_->relation_table();
+  EmbeddingTable& ent = model_->entity_table();
+  EmbeddingTable& rel = model_->relation_table();
 
   // Register all four ids BEFORE taking gradient pointers: GradFor may
   // grow the flat slot storage, invalidating earlier returned pointers.
@@ -99,8 +99,8 @@ Trainer::PairOutcome Trainer::TrainPairStep(const Triple& pos,
 double Trainer::ApplyPairUpdate(const Triple& pos, WorkerState* ws) {
   GradAccumulator& grads = ws->entity_grads;
   float* g_rel = ws->relation_grad.data();
-  ShardedEmbeddingTable& ent = model_->entity_table();
-  ShardedEmbeddingTable& rel = model_->relation_table();
+  EmbeddingTable& ent = model_->entity_table();
+  EmbeddingTable& rel = model_->relation_table();
 
   // L2 penalty λ‖·‖² on every touched row (semantic matching models).
   if (config_.l2_lambda > 0.0) {
@@ -186,8 +186,8 @@ void Trainer::FusedBlockStep(size_t lo, size_t hi, WorkerState* ws) {
   const size_t n = hi - lo;
   if (n == 0) return;
   FusedScratch& fs = ws->fused;
-  ShardedEmbeddingTable& ent = model_->entity_table();
-  ShardedEmbeddingTable& rel = model_->relation_table();
+  EmbeddingTable& ent = model_->entity_table();
+  EmbeddingTable& rel = model_->relation_table();
   const ScoringFunction& scorer = model_->scorer();
   const int dim = model_->dim();
 

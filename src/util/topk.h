@@ -73,19 +73,8 @@ class TopKCollector {
     // k == 0 keeps the threshold at +inf so nothing ever qualifies.
     threshold_ = k == 0 ? std::numeric_limits<double>::infinity()
                         : -std::numeric_limits<double>::infinity();
-    index_base_ = 0;
     stats_ = TopKSweepStats();
   }
-
-  /// Global offset added to every offered index when it is kept. Sharded
-  /// sweeps drive one kernel call per shard with slab-relative indices;
-  /// setting the base to the shard's first global row before each call
-  /// makes the collected entries carry global ids while the kernels stay
-  /// shard-oblivious. Offers must still arrive in increasing GLOBAL
-  /// index order across calls (shards are swept in row order), so the
-  /// tie contract is unchanged. Reset() restores 0.
-  void set_index_base(std::size_t base) { index_base_ = base; }
-  std::size_t index_base() const { return index_base_; }
 
   std::size_t capacity() const { return k_; }
   std::size_t size() const { return heap_.size(); }
@@ -154,7 +143,6 @@ class TopKCollector {
   /// Slow path: the candidate is known to qualify (heap not full, or
   /// score strictly above the threshold).
   void OfferQualified(double score, std::size_t index) {
-    index += index_base_;
     if (heap_.size() < k_) {
       heap_.push_back({score, index});
       std::push_heap(heap_.begin(), heap_.end(), HeapOrder);
@@ -168,7 +156,6 @@ class TopKCollector {
   }
 
   std::size_t k_ = 0;
-  std::size_t index_base_ = 0;
   double threshold_ = std::numeric_limits<double>::infinity();
   std::vector<TopKEntry> heap_;
   TopKSweepStats stats_;

@@ -39,25 +39,16 @@ TEST(ShardedCacheParityTest, ShardedMatchesSingleShardOnSameStream) {
   // Touch pattern with repeats (repeats must not consume the stream).
   for (int round = 0; round < 3; ++round) {
     for (uint64_t key : keys) {
-      const auto& a = single.GetOrInit(key, &rng_single);
-      const auto& b = sharded.GetOrInit(key, &rng_sharded);
-      ASSERT_EQ(a, b) << "round " << round << " key " << key;
+      TripletCache::LockedEntry a = single.Acquire(key, &rng_single);
+      TripletCache::LockedEntry b = sharded.Acquire(key, &rng_sharded);
+      a.AssertHeld();  // Bridges Acquire()'s dynamic shard pick.
+      b.AssertHeld();
+      ASSERT_EQ(a.candidates(), b.candidates())
+          << "round " << round << " key " << key;
     }
   }
   EXPECT_EQ(single.num_entries(), sharded.num_entries());
   EXPECT_EQ(sharded.num_entries(), keys.size());
-}
-
-TEST(ShardedCacheParityTest, AcquireAndGetOrInitAgree) {
-  TripletCache via_acquire(4, 300, 0, 4);
-  TripletCache via_getorinit(4, 300, 0, 4);
-  Rng rng_a(9), rng_b(9);
-  for (uint64_t key = 0; key < 25; ++key) {
-    TripletCache::LockedEntry locked = via_acquire.Acquire(key, &rng_a);
-    locked.AssertHeld();  // Bridges Acquire()'s dynamic shard pick.
-    const auto& plain = via_getorinit.GetOrInit(key, &rng_b);
-    EXPECT_EQ(locked.candidates(), plain);
-  }
 }
 
 TEST(CacheStressTest, ConcurrentAcquireOnSharedKeys) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "embedding/checkpoint.h"
+#include "forged_checkpoint.h"
 #include "util/fault.h"
 
 namespace nsc {
@@ -219,6 +220,25 @@ TEST(CheckpointSetTest, RecoverySkipsCorruptNewestFiles) {
   EXPECT_EQ(loaded.value().skipped.size(), 2u);
   EXPECT_EQ(loaded.value().model.entity_table().LogicalCopy(),
             step2_model.entity_table().LogicalCopy());
+}
+
+TEST(CheckpointSetTest, RecoverySkipsOversizedHeader) {
+  // A newest file whose header claims 2^30 entities (with a valid CRC)
+  // is skipped like any corrupt file, not allowed to exhaust memory.
+  const std::string dir = ScratchDir("oversized");
+  CheckpointSet set(dir);
+  const KgeModel good = MakeModel(7);
+  ASSERT_TRUE(set.Write(good, 1).ok());
+  ASSERT_TRUE(set.Write(MakeModel(8), 2).ok());
+  WriteFile(set.CheckpointPath(2),
+            ForgedCheckpoint(2, "transe", int32_t{1} << 30, 1, 1024));
+
+  auto loaded = set.LoadLatestValid();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().step, 1);
+  EXPECT_EQ(loaded.value().skipped.size(), 1u);
+  EXPECT_EQ(loaded.value().model.entity_table().LogicalCopy(),
+            good.entity_table().LogicalCopy());
 }
 
 TEST(CheckpointSetTest, ManifestIsAdvisoryOnly) {

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
+
+#include "forged_checkpoint.h"
 
 namespace nsc {
 namespace {
@@ -12,11 +16,23 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-KgeModel MakeModel(const std::string& scorer, uint64_t seed = 5) {
-  KgeModel model(17, 4, 6, MakeScoringFunction(scorer));
+KgeModel MakeModel(const std::string& scorer, uint64_t seed = 5,
+                   TableLayout layout = TableLayout::kPadded) {
+  KgeModel model(17, 4, 6, MakeScoringFunction(scorer), layout);
   Rng rng(seed);
   model.InitXavier(&rng);
   return model;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(CheckpointTest, RoundTripPreservesEverything) {
@@ -54,6 +70,66 @@ TEST(CheckpointTest, RoundTripEveryScorer) {
               model.entity_table().LogicalCopy());
     std::remove(path.c_str());
   }
+}
+
+TEST(CheckpointTest, SaveIsLayoutIndependentAndReloadResavesSameBytes) {
+  // The file holds rows over the logical width only: a padded and a
+  // compact model with the same contents write the same bytes, and a
+  // reloaded model writes them again.
+  const std::string path = TempPath("layout.nsckpt");
+  const KgeModel padded = MakeModel("transd", 43, TableLayout::kPadded);
+  const KgeModel compact = MakeModel("transd", 43, TableLayout::kCompact);
+  ASSERT_TRUE(SaveModel(padded, path).ok());
+  const std::string padded_bytes = ReadBytes(path);
+  ASSERT_FALSE(padded_bytes.empty());
+  ASSERT_TRUE(SaveModel(compact, path).ok());
+  EXPECT_EQ(ReadBytes(path), padded_bytes);
+
+  auto loaded = LoadModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().entity_table().LogicalCopy(),
+            compact.entity_table().LogicalCopy());
+  EXPECT_EQ(loaded.value().relation_table().LogicalCopy(),
+            compact.relation_table().LogicalCopy());
+  ASSERT_TRUE(SaveModel(loaded.value(), path).ok());
+  EXPECT_EQ(ReadBytes(path), padded_bytes);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, OversizedShapeIsInvalidArgumentNotAnAbort) {
+  // 30 bytes whose header claims 2^30 × 1024 floats. The shape must be
+  // checked against the body before the model is allocated, for the
+  // CRC-less v1 format and for a v2 file whose CRC is valid.
+  const std::string path = TempPath("oversized.nsckpt");
+  for (const int version : {1, 2}) {
+    WriteBytes(path, ForgedCheckpoint(version, "transe", int32_t{1} << 30, 1,
+                                      1024));
+    auto loaded = LoadModel(path);
+    ASSERT_FALSE(loaded.ok()) << "v" << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "v" << version << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, ShapeWhoseWidthsOverflowIsInvalidArgument) {
+  // TransR rows are d + d² floats: a huge dim must be refused before the
+  // scorer's int widths are computed, and the largest legal dim with the
+  // largest counts must not overflow the size arithmetic.
+  const std::string path = TempPath("overflow.nsckpt");
+  for (const int version : {1, 2}) {
+    WriteBytes(path, ForgedCheckpoint(version, "transr", 3, 2, 1 << 20));
+    auto loaded = LoadModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+    const int32_t kMax = std::numeric_limits<int32_t>::max();
+    WriteBytes(path, ForgedCheckpoint(version, "transr", kMax, kMax, 1 << 15));
+    loaded = LoadModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, MissingFileIsIOError) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "embedding/initializer.h"
 #include "embedding/model.h"
@@ -52,6 +53,46 @@ TEST(EmbeddingTableTest, PaddedRowsAreAlignedAndDisjoint) {
   EXPECT_EQ(table.Row(3)[0], 30.0f);
   EXPECT_EQ(table.Row(4)[0], 40.0f);
   EXPECT_EQ(table.Row(3) + table.stride(), table.Row(4));
+}
+
+TEST(EmbeddingTableTest, EveryPaddedRowIs64ByteAligned) {
+  // The SIMD sweep kernels rely on every row of a padded table starting
+  // on simd::kRowAlignment, including tables far longer than one page.
+  const EmbeddingTable table(100, 12, simd::kPadLanes);
+  for (int32_t r = 0; r < table.rows(); ++r) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(table.Row(r)) %
+                  simd::kRowAlignment,
+              0u)
+        << "row " << r;
+  }
+}
+
+TEST(EmbeddingTableTest, StrideAsPadLanesReproducesGeometry) {
+  // How optimizer moment buffers mirror their parameter table: passing
+  // the table's stride as pad_lanes yields the same rows, width and
+  // stride, zero-filled.
+  for (const int pad : {1, simd::kPadLanes}) {
+    EmbeddingTable table(100, 12, pad);
+    Rng rng(5);
+    UniformInit(&table, -1.0, 1.0, &rng);
+    const EmbeddingTable zeros(table.rows(), table.width(), table.stride());
+    EXPECT_EQ(zeros.rows(), table.rows());
+    EXPECT_EQ(zeros.width(), table.width());
+    EXPECT_EQ(zeros.stride(), table.stride()) << "pad " << pad;
+    for (const float v : zeros.LogicalCopy()) EXPECT_EQ(v, 0.0f);
+  }
+}
+
+TEST(EmbeddingTableTest, LogicalCopyIsCompactAndLayoutIndependent) {
+  EmbeddingTable padded(6, 5, simd::kPadLanes);
+  EmbeddingTable compact(6, 5);
+  Rng rng_a(13), rng_b(13);
+  UniformInit(&padded, -1.0, 1.0, &rng_a);
+  UniformInit(&compact, -1.0, 1.0, &rng_b);
+  const std::vector<float> image = padded.LogicalCopy();
+  ASSERT_EQ(image.size(), padded.logical_size());
+  EXPECT_EQ(image, compact.LogicalCopy());
+  EXPECT_EQ(image[2 * 5 + 3], padded.Row(2)[3]);
 }
 
 TEST(EmbeddingTableTest, InitializersAreLayoutInvariantAndLeavePaddingZero) {
@@ -170,6 +211,14 @@ TEST(EmbeddingTableDeathTest, ScorerRejectsTableOfWrongLogicalWidth) {
                        EmbeddingTable(20, 16), EmbeddingTable(4, 8));
       },
       "relation table width");
+  EXPECT_DEATH(
+      {
+        // Padding does not hide a wrong logical width either.
+        KgeModel model(6, MakeScoringFunction("transe"),
+                       EmbeddingTable(50, 7, simd::kPadLanes),
+                       EmbeddingTable(4, 6, simd::kPadLanes));
+      },
+      "width does not match");
 }
 
 TEST(EmbeddingTableTest, ModelAdoptsWidthMatchedTablesOfAnyLayout) {

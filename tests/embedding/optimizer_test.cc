@@ -10,7 +10,7 @@ namespace {
 
 // Minimises f(p) = 0.5 * ||p - target||^2 on one row; every optimizer must
 // converge on this convex quadratic.
-void DriveToTarget(Optimizer* opt, ShardedEmbeddingTable* table,
+void DriveToTarget(Optimizer* opt, EmbeddingTable* table,
                    const std::vector<float>& target, int steps) {
   std::vector<float> grad(table->width());
   for (int s = 0; s < steps; ++s) {
@@ -22,7 +22,7 @@ void DriveToTarget(Optimizer* opt, ShardedEmbeddingTable* table,
 }
 
 TEST(SgdOptimizerTest, SingleStepIsExact) {
-  ShardedEmbeddingTable table(1, 2);
+  EmbeddingTable table(1, 2);
   table.Row(0)[0] = 1.0f;
   table.Row(0)[1] = -2.0f;
   SgdOptimizer opt(0.1);
@@ -33,7 +33,7 @@ TEST(SgdOptimizerTest, SingleStepIsExact) {
 }
 
 TEST(SgdOptimizerTest, ConvergesOnQuadratic) {
-  ShardedEmbeddingTable table(1, 3);
+  EmbeddingTable table(1, 3);
   SgdOptimizer opt(0.2);
   DriveToTarget(&opt, &table, {1.0f, -1.0f, 0.5f}, 200);
   EXPECT_NEAR(table.Row(0)[0], 1.0f, 1e-4);
@@ -42,7 +42,7 @@ TEST(SgdOptimizerTest, ConvergesOnQuadratic) {
 }
 
 TEST(AdagradOptimizerTest, ConvergesOnQuadratic) {
-  ShardedEmbeddingTable table(1, 3);
+  EmbeddingTable table(1, 3);
   AdagradOptimizer opt(0.5, table);
   DriveToTarget(&opt, &table, {1.0f, -1.0f, 0.5f}, 2000);
   EXPECT_NEAR(table.Row(0)[0], 1.0f, 1e-2);
@@ -50,7 +50,7 @@ TEST(AdagradOptimizerTest, ConvergesOnQuadratic) {
 }
 
 TEST(AdagradOptimizerTest, StepSizesShrink) {
-  ShardedEmbeddingTable table(1, 1);
+  EmbeddingTable table(1, 1);
   AdagradOptimizer opt(1.0, table);
   const float grad[] = {1.0f};
   opt.Apply(&table, 0, grad);
@@ -63,7 +63,7 @@ TEST(AdagradOptimizerTest, StepSizesShrink) {
 
 TEST(AdamOptimizerTest, FirstStepApproxLearningRate) {
   // With bias correction, Adam's first update is ~lr * sign(grad).
-  ShardedEmbeddingTable table(1, 2);
+  EmbeddingTable table(1, 2);
   AdamOptimizer opt(0.01, table);
   opt.BeginStep();
   const float grad[] = {0.3f, -4.0f};
@@ -73,7 +73,7 @@ TEST(AdamOptimizerTest, FirstStepApproxLearningRate) {
 }
 
 TEST(AdamOptimizerTest, ConvergesOnQuadratic) {
-  ShardedEmbeddingTable table(1, 3);
+  EmbeddingTable table(1, 3);
   AdamOptimizer opt(0.05, table);
   DriveToTarget(&opt, &table, {1.0f, -1.0f, 0.5f}, 2000);
   EXPECT_NEAR(table.Row(0)[0], 1.0f, 2e-2);
@@ -82,7 +82,7 @@ TEST(AdamOptimizerTest, ConvergesOnQuadratic) {
 }
 
 TEST(AdamOptimizerTest, SparseRowsIndependent) {
-  ShardedEmbeddingTable table(3, 2);
+  EmbeddingTable table(3, 2);
   AdamOptimizer opt(0.1, table);
   opt.BeginStep();
   const float grad[] = {1.0f, 1.0f};
@@ -94,14 +94,14 @@ TEST(AdamOptimizerTest, SparseRowsIndependent) {
 }
 
 TEST(AdamOptimizerDeathTest, ApplyBeforeBeginStepAborts) {
-  ShardedEmbeddingTable table(1, 1);
+  EmbeddingTable table(1, 1);
   AdamOptimizer opt(0.1, table);
   const float grad[] = {1.0f};
   EXPECT_DEATH(opt.Apply(&table, 0, grad), "BeginStep");
 }
 
 TEST(OptimizerFactoryTest, KnownAndUnknownNames) {
-  ShardedEmbeddingTable shape(2, 2);
+  EmbeddingTable shape(2, 2);
   EXPECT_NE(MakeOptimizer("sgd", 0.1, shape), nullptr);
   EXPECT_NE(MakeOptimizer("adagrad", 0.1, shape), nullptr);
   EXPECT_NE(MakeOptimizer("adam", 0.1, shape), nullptr);

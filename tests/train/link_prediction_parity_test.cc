@@ -5,13 +5,17 @@
 // evaluation, both tie policies, and both SIMD dispatch paths. Also pins
 // the ScoreAllHeads/ScoreAllTails
 // sweep itself against per-candidate Score() — exact under forced
-// scalar, reduction-order-tolerant under the native path.
+// scalar, reduction-order-tolerant under the native path — and checks
+// that concurrent sweep and top-K readers of one model need no race
+// suppressions (this binary runs under TSan with none).
 #include "train/link_prediction.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "embedding/scoring_function.h"
@@ -255,6 +259,34 @@ TEST(LinkPredictionParityTest, SweepMatchesPerCandidateScores) {
       }
     }
   }
+}
+
+TEST(LinkPredictionParityTest, ConcurrentReadersNeedNoSuppressions) {
+  // With no writer, the 1-vs-all sweep and the fused top-K are const
+  // reads of one table plus thread-local scratch: several threads may
+  // run them at once with no race at all.
+  const KgeModel model = MakeRandomModel("distmult", TableLayout::kPadded, 7);
+  constexpr int kThreads = 6;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      std::vector<double> sweep(model.num_entities());
+      std::vector<TopKEntry> topk;
+      for (int i = 0; i < 200; ++i) {
+        const auto r = static_cast<RelationId>((t + i) % kRelations);
+        const auto e = static_cast<EntityId>((7 * t + i) % kEntities);
+        model.ScoreAllHeads(r, e, sweep.data());
+        model.TopKTails(e, r, 10, &topk);
+        if (topk.size() != 10 || !std::isfinite(sweep[0])) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 //   * with num_threads > 1 the fused engine keeps training (loss
 //     decreases, the observer and the cache stats see every pair) even
 //     though float races make runs nondeterministic;
-//   * the pair loop refuses more than one thread.
+//   * the pair loop refuses more than one thread;
+//   * padded and compact table layouts train bit-identically, and
+//     Hogwild is deterministic when no two pairs share a row.
 #include "train/trainer.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/nscaching_sampler.h"
@@ -83,9 +86,10 @@ struct RunResult {
 RunResult RunTraining(const Dataset& data, const KgIndex& index,
                       const std::string& scorer,
                       const std::string& sampler_name, TrainConfig config,
-                      int epochs) {
+                      int epochs,
+                      TableLayout layout = TableLayout::kPadded) {
   KgeModel model(data.num_entities(), data.num_relations(), config.dim,
-                 MakeScoringFunction(scorer));
+                 MakeScoringFunction(scorer), layout);
   Rng rng(1);
   model.InitXavier(&rng);
   std::unique_ptr<NegativeSampler> sampler;
@@ -398,6 +402,134 @@ TEST(TrainerParallelTest, HogwildNSCachingSamplesInsideWorkers) {
   const int64_t n = static_cast<int64_t>(data.train.size());
   EXPECT_EQ(sampler.stats().selections, 2 * n);
   EXPECT_EQ(sampler.stats().updates, 2 * n);
+}
+
+TEST(TrainerParallelTest, HogwildNSCachingRefreshKeepsRowsFinite) {
+  // Hogwild workers run the fused step with Adagrad moments while the
+  // thread-safe NSCaching sampler scores the same table from inside
+  // every worker. The embedding-row races are the Hogwild design
+  // (tsan.supp); the moments and the cache must add none, and every
+  // parameter must stay finite.
+  SyntheticKgConfig kg;
+  kg.num_entities = 200;
+  kg.num_relations = 6;
+  kg.num_triples = 2400;
+  kg.seed = 11;
+  const Dataset data = GenerateSyntheticKg(kg);
+  const KgIndex index(data.train);
+  KgeModel model(data.num_entities(), data.num_relations(), 12,
+                 MakeScoringFunction("transe"));
+  Rng rng(3);
+  model.InitXavier(&rng);
+  NSCachingConfig nsc_config;
+  nsc_config.n1 = 8;
+  nsc_config.n2 = 8;
+  NSCachingSampler sampler(&model, &index, nsc_config);
+  ASSERT_TRUE(sampler.thread_safe_sampling());
+  TrainConfig config;
+  config.dim = 12;
+  config.learning_rate = 0.05;
+  config.optimizer = "adagrad";
+  config.batch_size = 64;
+  config.num_threads = 4;
+  config.seed = 17;
+  Trainer trainer(&model, &data.train, &sampler, config);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    EXPECT_TRUE(std::isfinite(trainer.RunEpoch().mean_loss))
+        << "epoch " << epoch;
+  }
+  for (const float v : model.entity_table().LogicalCopy()) {
+    ASSERT_TRUE(std::isfinite(v));
+  }
+  EXPECT_GT(sampler.stats().selections, 0);
+  EXPECT_GT(sampler.stats().updates, 0);
+}
+
+TEST(TrainerParityTest, TrainingIsLayoutInvariant) {
+  // The fused serial engine and NSCaching's cache refresh read rows at
+  // the table's stride; padding must not change one bit of the
+  // trajectory, on either dispatch path.
+  const Dataset data = SmallDataset();
+  const KgIndex index(data.train);
+  TrainConfig config = SmallTrainConfig();
+  config.fused_scoring = true;
+  config.batch_size = 64;
+  config.num_threads = 1;
+  for (const std::string sampler : {"bernoulli", "nscaching"}) {
+    for (const bool forced_scalar : {false, true}) {
+      simd::ScopedForcePath force(forced_scalar
+                                      ? simd::Path::kScalar
+                                      : simd::BestAvailablePath());
+      const RunResult padded = RunTraining(data, index, "transe", sampler,
+                                           config, 2, TableLayout::kPadded);
+      const RunResult compact = RunTraining(data, index, "transe", sampler,
+                                            config, 2, TableLayout::kCompact);
+      EXPECT_EQ(compact.losses, padded.losses)
+          << sampler << " scalar=" << forced_scalar;
+      EXPECT_EQ(compact.entities, padded.entities)
+          << sampler << " scalar=" << forced_scalar;
+      EXPECT_EQ(compact.relations, padded.relations)
+          << sampler << " scalar=" << forced_scalar;
+    }
+  }
+}
+
+// Sampler whose negatives live in the positive triple's private row
+// group: triple i is (3i, i, 3i+1) and its negative tail is 3i+2, so
+// every (positive, negative) pair touches rows no other pair touches.
+// That makes Hogwild execution order-independent — the one regime where
+// multi-threaded training can be compared bit for bit.
+class PrivateRowsSampler : public NegativeSampler {
+ public:
+  std::string name() const override { return "private_rows"; }
+  NegativeSample Sample(const Triple& pos, Rng* /*rng*/) override {
+    NegativeSample out;
+    out.triple = {pos.h, pos.r, pos.h + 2};
+    out.side = CorruptionSide::kTail;
+    return out;
+  }
+  bool stateless_sampling() const override { return true; }
+};
+
+TEST(TrainerParallelTest, HogwildIsDeterministicOnDisjointRows) {
+  // With disjoint row groups per pair, Hogwild (3 workers) has no write
+  // conflicts: every row sees the same update sequence however the
+  // workers interleave, in either table layout.
+  const int32_t kPairs = 48;
+  TripleStore train(3 * kPairs, kPairs);
+  for (int32_t i = 0; i < kPairs; ++i) {
+    train.Add({3 * i, i, 3 * i + 1});
+  }
+  TrainConfig config;
+  config.dim = 12;
+  config.learning_rate = 0.05;
+  config.optimizer = "adagrad";
+  config.batch_size = 16;
+  config.num_threads = 3;
+  config.seed = 9;
+  auto run = [&](TableLayout layout) {
+    KgeModel model(train.num_entities(), train.num_relations(), config.dim,
+                   MakeScoringFunction("transe"), layout);
+    Rng rng(1);
+    model.InitXavier(&rng);
+    PrivateRowsSampler sampler;
+    Trainer trainer(&model, &train, &sampler, config);
+    RunResult out;
+    for (int e = 0; e < 2; ++e) {
+      out.losses.push_back(trainer.RunEpoch().mean_loss);
+    }
+    out.entities = model.entity_table().LogicalCopy();
+    out.relations = model.relation_table().LogicalCopy();
+    return out;
+  };
+  const RunResult reference = run(TableLayout::kPadded);
+  for (const TableLayout layout :
+       {TableLayout::kPadded, TableLayout::kCompact}) {
+    const RunResult got = run(layout);
+    EXPECT_EQ(got.losses, reference.losses);
+    EXPECT_EQ(got.entities, reference.entities);
+    EXPECT_EQ(got.relations, reference.relations);
+  }
 }
 
 TEST(TrainerParallelTest, HardwareDefaultThreadResolution) {

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Validates a bench JSON artifact (bench_throughput --topk/--shards,
+"""Validates a bench JSON artifact (bench_throughput --topk,
 bench_serving).
 
-CI runs this against the committed BENCH_topk.json / BENCH_shards.json /
-BENCH_serving.json
+CI runs this against the committed BENCH_topk.json / BENCH_serving.json
 (and against freshly generated files on the bench job) so each schema
 stays a contract: downstream tooling may parse these fields by name,
 and a silent rename or type change would break it long after the
@@ -46,20 +45,6 @@ SUITE_RUN_FIELDS = {
         ("batch_speedup", (int, float), positive),
         ("topk_queries_per_sec", (int, float), positive),
         ("topk_batch_queries_per_sec", (int, float), positive),
-    ],
-    "shards": [
-        ("scorer", str, lambda v: None if v else "must be non-empty"),
-        ("num_entities", int, positive),
-        ("target_shards", int, positive),
-        # Realized count: power-of-two row blocks mean it can undershoot
-        # the target, never exceed it (pinned here and by the C++ tests).
-        ("num_shards", int, positive),
-        ("train_triples_per_sec", (int, float), positive),
-        ("eval_queries_per_sec", (int, float), positive),
-        ("topk_queries_per_sec", (int, float), positive),
-        ("train_ratio_vs_1shard", (int, float), positive),
-        ("eval_ratio_vs_1shard", (int, float), positive),
-        ("topk_ratio_vs_1shard", (int, float), positive),
     ],
     "serving": [
         # Load-generation mode: "closed" (each connection waits for its
@@ -140,21 +125,6 @@ def check_fields(obj, fields, where, errors):
                           "closed field set)" % (where, name, SCHEMA_VERSION))
 
 
-def check_shards_invariants(doc, path, errors):
-    """Cross-run checks only the shards suite has: the shard-count rows
-    must be internally consistent with the power-of-two block layout."""
-    for i, run in enumerate(doc.get("runs") or []):
-        if not isinstance(run, dict):
-            continue
-        where = "%s: runs[%d]" % (path, i)
-        target = run.get("target_shards")
-        realized = run.get("num_shards")
-        if isinstance(target, int) and isinstance(realized, int) \
-                and realized > target:
-            errors.append("%s: num_shards %d exceeds target_shards %d" %
-                          (where, realized, target))
-
-
 def check_serving_invariants(doc, path, errors):
     """Percentiles must be monotone within each serving run."""
     for i, run in enumerate(doc.get("runs") or []):
@@ -191,8 +161,6 @@ def check_file(path):
             continue
         if run_fields is not None:
             check_fields(run, run_fields, where, errors)
-    if doc.get("suite") == "shards":
-        check_shards_invariants(doc, path, errors)
     if doc.get("suite") == "serving":
         check_serving_invariants(doc, path, errors)
     return errors
